@@ -6,7 +6,7 @@
 //! incremental redesign should beat a cold one. This bench measures that
 //! speedup on a single-variable move trajectory (cycling gain, UGF, bias
 //! current, load, and area), then runs a neighbour-stream sweep through an
-//! [`ape_farm::Farm`] at 1/2/4/8 workers.
+//! [`ape_farm::Farm`] and on explicit 1/2/4/8-worker executors.
 //!
 //! Prints aligned tables, the per-kind graph report, and writes a
 //! machine-readable summary to `results/BENCH_estimator.json`
@@ -108,14 +108,13 @@ fn run_incremental(
 /// the farm's queue-wait and job-latency distributions.
 fn run_sweep(
     tech: &Technology,
-    workers: usize,
     requests: &[Request],
 ) -> (
     f64,
     ape_probe::HistogramSnapshot,
     ape_probe::HistogramSnapshot,
 ) {
-    let farm = Farm::new(tech.clone(), FarmConfig::with_workers(workers));
+    let farm = Farm::new(tech.clone(), FarmConfig::default());
     let t0 = Instant::now();
     let handles: Vec<_> = requests.iter().cloned().map(|r| farm.submit(r)).collect();
     for h in &handles {
@@ -166,8 +165,8 @@ fn main() {
     println!("{}\n", graph_report());
 
     // Sweep neighbours through the farm: every request differs from its
-    // predecessor in one variable, so warm worker graphs reuse most
-    // subtrees (isolate_sizing_cache defaults to off).
+    // predecessor in one variable, so warm executor-thread graphs reuse
+    // most subtrees.
     let mut spec = base_spec();
     let neighbor_pairs: Vec<(OpAmpTopology, OpAmpSpec)> = deltas
         .iter()
@@ -180,29 +179,15 @@ fn main() {
         .iter()
         .map(|&(topology, spec)| Request::OpAmpDesign { topology, spec })
         .collect();
-    let workers_axis = [1usize, 2, 4, 8];
-    let sweeps: Vec<(
-        f64,
-        ape_probe::HistogramSnapshot,
-        ape_probe::HistogramSnapshot,
-    )> = workers_axis
-        .iter()
-        .map(|&w| run_sweep(&tech, w, &requests))
-        .collect();
-    let sweep_walls: Vec<f64> = sweeps.iter().map(|(w, _, _)| *w).collect();
-    let mut rows = Vec::new();
-    for (k, &w) in workers_axis.iter().enumerate() {
-        rows.push(vec![
-            w.to_string(),
-            fmt_val(sweep_walls[k] * 1e3),
-            fmt_val(requests.len() as f64 / sweep_walls[k]),
-            format!("{:.2}x", sweep_walls[0] / sweep_walls[k]),
-        ]);
-    }
+    let (sweep_wall, farm_wait, farm_lat) = run_sweep(&tech, &requests);
+    let sweep_per_s = requests.len() as f64 / sweep_wall;
     println!("== Sweep neighbours through the farm ==");
     println!(
         "{}",
-        render_table(&["workers", "wall (ms)", "designs/s", "speedup"], &rows)
+        render_table(
+            &["wall (ms)", "designs/s"],
+            &[vec![fmt_val(sweep_wall * 1e3), fmt_val(sweep_per_s)]],
+        )
     );
     let detected = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -211,10 +196,10 @@ fn main() {
 
     // The same neighbour stream through `OpAmp::design_many_on` on
     // explicit `Executor::new(w)` pools: estimation-graph scaling without
-    // the farm's queue in the way.
+    // the farm in the way.
     let mut exec_thr = Vec::new();
     let mut rows = Vec::new();
-    for &w in &workers_axis {
+    for w in [1usize, 2, 4, 8] {
         let exec = ape_exec::Executor::new(w);
         reset_thread_graph();
         let t0 = Instant::now();
@@ -248,13 +233,8 @@ fn main() {
     let _ = writeln!(out, "  \"detected_parallelism\": {detected},");
     let _ = writeln!(
         out,
-        "  \"sweep_neighbors\": {{\"jobs\": {}, \"workers\": [1, 2, 4, 8], \"jobs_per_s\": [{}]}},",
+        "  \"sweep_neighbors\": {{\"jobs\": {}, \"jobs_per_s\": {sweep_per_s:.3}}},",
         requests.len(),
-        sweep_walls
-            .iter()
-            .map(|t| format!("{:.3}", requests.len() as f64 / t))
-            .collect::<Vec<_>>()
-            .join(", ")
     );
     // Worker-count scaling on explicit executors — gated for monotone
     // throughput by `ape-bench report` (auto-skipped at parallelism 1).
@@ -268,8 +248,7 @@ fn main() {
             .join(", ")
     );
     // Quantile blocks: per-move estimator latency (all three repetitions
-    // pooled) and the farm's queue behaviour at the widest sweep.
-    let (_, farm_wait, farm_lat) = &sweeps[sweeps.len() - 1];
+    // pooled) and the farm's queue behaviour on the sweep.
     let cold_snap = cold_lat.snapshot();
     let incr_snap = incr_lat.snapshot();
     let _ = writeln!(
@@ -278,8 +257,8 @@ fn main() {
         latency_section(&[
             ("cold_move", &cold_snap),
             ("incremental_move", &incr_snap),
-            ("farm_queue_wait", farm_wait),
-            ("farm_job", farm_lat),
+            ("farm_queue_wait", &farm_wait),
+            ("farm_job", &farm_lat),
         ])
     );
     out.push_str("}\n");

@@ -1,18 +1,21 @@
-//! Farm throughput: batch estimation at 1/2/4/8 workers.
+//! Farm throughput: batch estimation through [`Farm`] on the shared
+//! executor, next to the same work on explicit executors.
 //!
-//! Each row runs the same design-space grid through a fresh [`Farm`] with
-//! the result cache doing no work (every request distinct), so the row
-//! measures raw estimator throughput through the queue/pool machinery.
-//! A second table dedups a 50%-duplicate stream to show the single-flight
-//! cache's effect.
+//! Every timed run uses a fresh farm over grid points that no earlier run
+//! computed (each run salts the grid), so no run is served from memos an
+//! earlier run left warm on the executor threads. The distinct-design
+//! table runs the farm a few times and reports each run; the
+//! explicit-executor table shows worker-count scaling without the farm;
+//! the last table submits a 50%-duplicate stream to show in-flight
+//! deduplication.
 //!
-//! Speedup over the 1-worker row is hardware-dependent: on a single-core
-//! machine every row collapses to serial throughput, which is why the
-//! detected parallelism is printed with the results.
+//! Scaling is hardware-dependent: on a single-core machine every row
+//! collapses to serial throughput, which is why the detected parallelism
+//! is printed with the results.
 //!
 //! Writes a machine-readable summary to `results/BENCH_farm.json`
 //! (schema 2) whose `latency_ns` block carries the queue-wait and
-//! job-latency quantiles from the widest distinct-design row.
+//! job-latency quantiles of the median distinct-design run.
 //!
 //! Run with `cargo run --release -p ape-bench --bin farm`.
 
@@ -26,8 +29,13 @@ use ape_netlist::Technology;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-fn grid_pairs(points: usize) -> Vec<(OpAmpTopology, OpAmpSpec)> {
-    // Distinct specs: walk gain and UGF so no two requests share a key.
+/// Distinct-design runs through a fresh farm each.
+const RUNS: usize = 3;
+
+/// `points` distinct specs: walk gain and UGF so no two requests share a
+/// key. `salt` shifts every gain by a fraction of a grid step, so grids
+/// with different salts share no point.
+fn grid_pairs(points: usize, salt: usize) -> Vec<(OpAmpTopology, OpAmpSpec)> {
     (0..points)
         .map(|i| {
             (
@@ -40,7 +48,7 @@ fn grid_pairs(points: usize) -> Vec<(OpAmpTopology, OpAmpSpec)> {
                     false,
                 ),
                 OpAmpSpec {
-                    gain: 100.0 + (i as f64) * 7.0,
+                    gain: 100.0 + (i as f64) * 7.0 + (salt as f64) * 0.125,
                     ugf_hz: 1e6 + (i as f64) * 3.7e4,
                     area_max_m2: 20_000e-12,
                     ibias: 10e-6,
@@ -52,8 +60,8 @@ fn grid_pairs(points: usize) -> Vec<(OpAmpTopology, OpAmpSpec)> {
         .collect()
 }
 
-fn grid(points: usize) -> Vec<Request> {
-    grid_pairs(points)
+fn grid(points: usize, salt: usize) -> Vec<Request> {
+    grid_pairs(points, salt)
         .into_iter()
         .map(|(topology, spec)| Request::OpAmpDesign { topology, spec })
         .collect()
@@ -62,16 +70,13 @@ fn grid(points: usize) -> Vec<Request> {
 struct RunResult {
     secs: f64,
     executed: u64,
-    shared: u64,
+    deduped: u64,
     queue_wait: ape_probe::HistogramSnapshot,
     job_latency: ape_probe::HistogramSnapshot,
 }
 
-fn run(workers: usize, requests: &[Request]) -> RunResult {
-    let farm = Farm::new(
-        Technology::default_1p2um(),
-        FarmConfig::with_workers(workers),
-    );
+fn run(requests: &[Request]) -> RunResult {
+    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
     let t0 = Instant::now();
     let handles: Vec<_> = requests.iter().cloned().map(|r| farm.submit(r)).collect();
     for h in &handles {
@@ -82,7 +87,7 @@ fn run(workers: usize, requests: &[Request]) -> RunResult {
     RunResult {
         secs,
         executed: stats.executed,
-        shared: stats.cache_hits + stats.deduped,
+        deduped: stats.deduped,
         queue_wait: farm.queue_wait_ns(),
         job_latency: farm.job_latency_ns(),
     }
@@ -93,8 +98,9 @@ fn main() {
     let detected = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
+    let exec_workers = ape_exec::Executor::global().workers();
     println!("== Farm throughput: batch op-amp estimation ==");
-    println!("detected parallelism: {detected} (speedup saturates there)\n");
+    println!("detected parallelism: {detected}, shared executor workers: {exec_workers}\n");
     if detected == 1 {
         eprintln!(
             "farm bench: WARNING: detected parallelism is 1 — every worker count \
@@ -104,43 +110,43 @@ fn main() {
     }
 
     let points = 400usize;
-    let requests = grid(points);
-    let mut rows = Vec::new();
-    let mut base = None;
-    let workers_axis = [1usize, 2, 4, 8];
-    let mut throughputs = Vec::new();
-    let mut widest = None;
-    for workers in workers_axis {
-        let r = run(workers, &requests);
-        let thr = points as f64 / r.secs;
-        let base_thr = *base.get_or_insert(thr);
-        rows.push(vec![
-            workers.to_string(),
-            fmt_val(r.secs * 1e3),
-            fmt_val(thr),
-            format!("{:.2}x", thr / base_thr),
-            r.executed.to_string(),
-        ]);
-        throughputs.push(thr);
-        widest = Some(r);
-    }
-    println!("-- {points} distinct designs --");
+    // Every grid below gets the next salt: no run sees a point twice.
+    let mut salts = 1usize..;
+    let mut runs: Vec<RunResult> = salts
+        .by_ref()
+        .take(RUNS)
+        .map(|salt| run(&grid(points, salt)))
+        .collect();
+    let rows: Vec<Vec<String>> = runs
+        .iter()
+        .enumerate()
+        .map(|(k, r)| {
+            vec![
+                (k + 1).to_string(),
+                fmt_val(r.secs * 1e3),
+                fmt_val(points as f64 / r.secs),
+                r.executed.to_string(),
+            ]
+        })
+        .collect();
+    println!("-- {points} distinct designs, fresh farm and grid per run --");
     println!(
         "{}",
-        render_table(
-            &["workers", "wall (ms)", "designs/s", "speedup", "executed"],
-            &rows,
-        )
+        render_table(&["run", "wall (ms)", "designs/s", "executed"], &rows)
     );
+    runs.sort_by(|a, b| a.secs.total_cmp(&b.secs));
+    let median = runs.swap_remove(RUNS / 2);
+    let designs_per_s = points as f64 / median.secs;
 
-    // Explicit-executor scaling: the same distinct grid through
+    // Explicit-executor scaling: a distinct grid through
     // `OpAmp::design_many_on` on `Executor::new(w)` pools — the estimation
-    // work a farm job does, minus the queue machinery, with real worker
-    // threads even on a 1-core machine (where the farm itself clamps).
-    let pairs = grid_pairs(points);
+    // work a farm job does, minus the farm, with real worker threads even
+    // on a 1-core machine.
+    let workers_axis = [1usize, 2, 4, 8];
     let mut exec_thr = Vec::new();
     let mut rows = Vec::new();
-    for &w in &workers_axis {
+    for (&w, salt) in workers_axis.iter().zip(salts.by_ref()) {
+        let pairs = grid_pairs(points, salt);
         let exec = ape_exec::Executor::new(w);
         reset_thread_graph();
         let t0 = Instant::now();
@@ -164,51 +170,34 @@ fn main() {
         render_table(&["workers", "designs/s", "speedup"], &rows)
     );
 
-    // Duplicate half the stream: the single-flight cache folds repeats.
-    let mut dup = grid(points / 2);
-    dup.extend(grid(points / 2));
-    let mut rows = Vec::new();
-    let mut dedup_executed = 0;
-    for workers in [1usize, 4] {
-        let r = run(workers, &dup);
-        dedup_executed = r.executed;
-        rows.push(vec![
-            workers.to_string(),
-            fmt_val(r.secs * 1e3),
-            r.executed.to_string(),
-            r.shared.to_string(),
-        ]);
-    }
+    // Duplicate half the stream: repeats still in flight are folded into
+    // the first submission; repeats that arrive after it finished run
+    // again, answered from the executor threads' estimation memos.
+    let salt = salts.next().unwrap_or_default();
+    let mut dup = grid(points / 2, salt);
+    dup.extend(grid(points / 2, salt));
+    let r = run(&dup);
+    let dedup_executed = r.executed;
     println!("-- {points} submissions, 50% duplicates --");
     println!(
         "{}",
-        render_table(&["workers", "wall (ms)", "executed", "cache-shared"], &rows)
+        render_table(
+            &["wall (ms)", "executed", "deduped"],
+            &[vec![
+                fmt_val(r.secs * 1e3),
+                r.executed.to_string(),
+                r.deduped.to_string(),
+            ]],
+        )
     );
 
-    let widest = widest.expect("at least one worker row ran");
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"bench\": \"farm\",");
     let _ = writeln!(out, "  \"schema\": {BENCH_SCHEMA},");
     let _ = writeln!(out, "  \"points\": {points},");
     let _ = writeln!(out, "  \"detected_parallelism\": {detected},");
-    let _ = writeln!(
-        out,
-        "  \"workers\": [{}],",
-        workers_axis
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(
-        out,
-        "  \"designs_per_s\": [{}],",
-        throughputs
-            .iter()
-            .map(|t| format!("{t:.3}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
+    let _ = writeln!(out, "  \"runs\": {RUNS},");
+    let _ = writeln!(out, "  \"designs_per_s\": {designs_per_s:.3},");
     let _ = writeln!(out, "  \"dedup_executed\": {dedup_executed},");
     // Worker-count scaling on explicit executors — gated for monotone
     // throughput by `ape-bench report` (auto-skipped at parallelism 1).
@@ -230,8 +219,8 @@ fn main() {
         out,
         "  {}",
         latency_section(&[
-            ("queue_wait", &widest.queue_wait),
-            ("job", &widest.job_latency),
+            ("queue_wait", &median.queue_wait),
+            ("job", &median.job_latency),
         ])
     );
     out.push_str("}\n");

@@ -11,8 +11,11 @@
 //! By default the daemon runs in-process on an ephemeral port (so the
 //! bench is self-contained); `--addr HOST:PORT` drives an external daemon
 //! instead (the CI workflow starts one and points the bench at it).
-//! Request streams across connections overlap on purpose: the shared
-//! estimation graph must show cross-connection hits.
+//! Request streams across connections overlap on purpose. For an
+//! in-process daemon the bench then checks, by construction, that answers
+//! land in the shared estimation graph: a fresh graph on the bench thread,
+//! attached to the daemon's store, must be served a request the daemon
+//! answered, bit-identical to the wire answer.
 //!
 //! Writes `results/BENCH_serve.json` (schema 2). `--smoke` shrinks the
 //! request counts for CI.
@@ -21,10 +24,14 @@
 
 use ape_bench::report::{latency_section, BENCH_SCHEMA};
 use ape_bench::{fmt_val, render_table};
+use ape_core::basic::MirrorTopology;
+use ape_core::graph::set_thread_shared_memo;
+use ape_core::opamp::{OpAmp, OpAmpSpec, OpAmpTopology};
 use ape_netlist::Technology;
 use ape_serve::client::Client;
 use ape_serve::json::{n, obj, s, Value};
-use ape_serve::{Server, ServerConfig};
+use ape_serve::proto::design_result;
+use ape_serve::{Server, ServerConfig, ServerState};
 use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -173,6 +180,55 @@ fn shared_graph_hits(addr: SocketAddr) -> u64 {
         .map_or(0, |v| v as u64)
 }
 
+/// The by-construction shared-store check: asks the daemon for `point`
+/// over the wire, then designs it on this thread through a fresh graph
+/// attached to the daemon's store. The top-level lookup must hit (so
+/// nothing is computed and nothing misses), and the design must render
+/// exactly like the wire answer.
+fn store_serves_answered_request(
+    state: &ServerState,
+    addr: SocketAddr,
+    (gain, ugf): (f64, f64),
+) -> Result<(), String> {
+    let store = state
+        .farm()
+        .shared_memo()
+        .ok_or("shared graph is off")?
+        .clone();
+    let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    let wire = client
+        .call("design", design_fields(gain, ugf))
+        .map_err(|e| format!("design call: {e}"))?
+        .outcome
+        .map_err(|e| format!("design refused: {e:?}"))?;
+    let before = store.stats();
+    set_thread_shared_memo(Some(store.clone()));
+    let direct = OpAmp::design(
+        &Technology::default_1p2um(),
+        OpAmpTopology::miller(MirrorTopology::Simple, false),
+        OpAmpSpec {
+            gain,
+            ugf_hz: ugf,
+            area_max_m2: 20e-9,
+            ibias: 1e-5,
+            zout_ohm: None,
+            cl: 1e-11,
+        },
+    );
+    set_thread_shared_memo(None);
+    let direct = direct.map_err(|e| format!("direct design: {e}"))?;
+    let after = store.stats();
+    if after.hits <= before.hits || after.misses != before.misses {
+        return Err(format!(
+            "answer not in the shared store: {before:?} -> {after:?}"
+        ));
+    }
+    if wire.render() != design_result(&direct).render() {
+        return Err("store-served design differs from the wire answer".to_string());
+    }
+    Ok(())
+}
+
 fn main() {
     let _trace = ape_probe::install_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -197,12 +253,9 @@ fn main() {
         );
     }
 
-    // In-process daemon unless --addr points at an external one. At least
-    // two workers even on a single-core box, so the shared graph actually
-    // has two thread-local graphs trading subtrees.
+    // In-process daemon unless --addr points at an external one.
     let server = if external.is_none() {
         let config = ServerConfig {
-            workers: detected.max(2),
             inflight_per_conn: 64,
             shared_graph: true,
             ..ServerConfig::default()
@@ -218,6 +271,9 @@ fn main() {
     let closed = run_phase(addr, requests_per_conn, false);
     let open = run_phase(addr, requests_per_conn * 2, true);
     let hits = shared_graph_hits(addr);
+    let store_check = server
+        .as_ref()
+        .map(|h| store_serves_answered_request(h.state(), addr, stream(0, 1)[0]));
 
     let closed_total = (CONNECTIONS * requests_per_conn) as f64;
     let open_total = (CONNECTIONS * requests_per_conn * 2) as f64;
@@ -297,8 +353,8 @@ fn main() {
     ape_probe::finish();
 
     assert_eq!(dropped, 0, "daemon dropped responses under load");
-    assert!(
-        external.is_some() || hits > 0,
-        "shared graph saw no cross-request hits"
-    );
+    if let Some(Err(e)) = store_check {
+        eprintln!("FAIL: shared-store check: {e}");
+        std::process::exit(1);
+    }
 }

@@ -1,8 +1,7 @@
-//! Farm fault injection: jobs that fail, time out, or panic on purpose,
-//! asserted at several worker counts. The farm must keep all three
-//! guarantees under fire: the pool stays alive, the single-flight cache
-//! never serves a stale failure to a later submission, and every waiter
-//! (owner or deduplicated) is woken with a result.
+//! Farm fault injection: jobs that fail, time out, or panic on purpose.
+//! The farm must keep all three guarantees under fire: it stays alive, a
+//! failure is never served to a later submission of the same key, and
+//! every waiter (owner or deduplicated) is woken with a result.
 
 use ape_farm::{Farm, FarmConfig, FarmError, Request, Response};
 use ape_netlist::Technology;
@@ -28,16 +27,16 @@ fn honest_job(_tech: &Technology) -> Result<Response, FarmError> {
     Ok(Response::Text("ok".into()))
 }
 
-/// Runs the whole fault-injection suite at `workers` threads. Returns the
-/// failures it found (empty = all guarantees held).
-pub fn run(workers: usize) -> Vec<String> {
+/// Runs the whole fault-injection suite. Returns the failures it found
+/// (empty = all guarantees held).
+pub fn run() -> Vec<String> {
     let mut failures = Vec::new();
     let tech = Technology::default_1p2um();
 
     // 1. Erroring jobs: every waiter sees the error; the key is then
-    //    reclaimable and the pool still serves honest work.
+    //    free again and the farm still serves honest work.
     {
-        let farm = Farm::new(tech.clone(), FarmConfig::with_workers(workers));
+        let farm = Farm::new(tech.clone(), FarmConfig::default());
         let handles: Vec<_> = (0..6)
             .map(|_| {
                 farm.submit(Request::Custom {
@@ -51,7 +50,7 @@ pub fn run(workers: usize) -> Vec<String> {
             match h.wait() {
                 Err(FarmError::Ape(_)) => {}
                 other => failures.push(format!(
-                    "{workers}w: erroring job returned {other:?}, expected Ape error"
+                    "erroring job returned {other:?}, expected Ape error"
                 )),
             }
         }
@@ -61,14 +60,14 @@ pub fn run(workers: usize) -> Vec<String> {
             run: honest_job,
         });
         if again.wait().is_err() {
-            failures.push(format!("{workers}w: error poisoned the cache key"));
+            failures.push("error poisoned the key".to_string());
         }
     }
 
-    // 2. Panicking jobs: waiters get `Panicked`, workers survive, and the
-    //    farm keeps executing afterwards.
+    // 2. Panicking jobs: waiters get `Panicked`, executor threads survive,
+    //    and the farm keeps executing afterwards.
     {
-        let farm = Farm::new(tech.clone(), FarmConfig::with_workers(workers));
+        let farm = Farm::new(tech.clone(), FarmConfig::default());
         let handles: Vec<_> = (0..6)
             .map(|_| {
                 farm.submit(Request::Custom {
@@ -82,12 +81,12 @@ pub fn run(workers: usize) -> Vec<String> {
             match h.wait() {
                 Err(FarmError::Panicked(m)) if !m.trim().is_empty() => {}
                 other => failures.push(format!(
-                    "{workers}w: panicking job returned {other:?}, expected Panicked"
+                    "panicking job returned {other:?}, expected Panicked"
                 )),
             }
         }
         if farm.stats().panicked == 0 {
-            failures.push(format!("{workers}w: panic not counted in stats"));
+            failures.push("panic not counted in stats".to_string());
         }
         let after = farm.submit(Request::Custom {
             label: "inject-panic-recovery",
@@ -95,7 +94,7 @@ pub fn run(workers: usize) -> Vec<String> {
             run: honest_job,
         });
         if after.wait().is_err() {
-            failures.push(format!("{workers}w: pool dead after panics"));
+            failures.push("farm dead after panics".to_string());
         }
     }
 
@@ -103,7 +102,7 @@ pub fn run(workers: usize) -> Vec<String> {
     {
         let cfg = FarmConfig {
             job_timeout: Some(Duration::from_millis(0)),
-            ..FarmConfig::with_workers(workers)
+            ..FarmConfig::default()
         };
         let farm = Farm::new(tech.clone(), cfg);
         let h = farm.submit(Request::Custom {
@@ -114,7 +113,7 @@ pub fn run(workers: usize) -> Vec<String> {
         match h.wait() {
             Err(FarmError::Cancelled) | Ok(_) => {}
             other => failures.push(format!(
-                "{workers}w: timed-out job returned {other:?}, expected Cancelled"
+                "timed-out job returned {other:?}, expected Cancelled"
             )),
         }
     }
@@ -122,7 +121,7 @@ pub fn run(workers: usize) -> Vec<String> {
     // 4. Mixed storm: interleave honest, erroring, panicking, and slow jobs
     //    under distinct keys; every single waiter must be woken.
     {
-        let farm = Farm::new(tech, FarmConfig::with_workers(workers));
+        let farm = Farm::new(tech, FarmConfig::default());
         let mut handles = Vec::new();
         for k in 0..24u64 {
             let run = match k % 4 {
@@ -145,15 +144,12 @@ pub fn run(workers: usize) -> Vec<String> {
                 _ => matches!(r, Err(FarmError::Panicked(_))),
             };
             if !ok {
-                failures.push(format!("{workers}w: storm job {k} got {r:?}"));
+                failures.push(format!("storm job {k} got {r:?}"));
             }
         }
         let stats = farm.stats();
         if stats.executed != 24 {
-            failures.push(format!(
-                "{workers}w: storm executed {} of 24 jobs",
-                stats.executed
-            ));
+            failures.push(format!("storm executed {} of 24 jobs", stats.executed));
         }
     }
 

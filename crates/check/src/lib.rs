@@ -31,8 +31,8 @@
 //! must never be observable in results.
 //!
 //! [`fault::run`] additionally injects failing, panicking, and timed-out
-//! jobs into an [`ape_farm::Farm`] and asserts the pool, the single-flight
-//! cache, and all waiting submitters stay live.
+//! jobs into an [`ape_farm::Farm`] and asserts the farm, its single-flight
+//! deduplication, and all waiting submitters stay live.
 //!
 //! [`serve::run`] additionally drives seeded hostile NDJSON traffic
 //! (truncated, oversized, garbage, unknown fingerprints) through a
@@ -72,8 +72,8 @@ impl CheckReport {
 }
 
 /// Runs `total` fuzz cases (split across the entry points, the cheap ones
-/// weighted heaviest) plus the farm fault-injection suite at 1 and 8
-/// workers. `base_seed` makes the whole run reproducible.
+/// weighted heaviest) plus the farm fault-injection suite. `base_seed`
+/// makes the whole run reproducible.
 pub fn run_all(base_seed: u64, total: usize) -> CheckReport {
     let mut report = CheckReport::default();
     // Weights: parsing is microseconds, synthesis is milliseconds even at
@@ -119,13 +119,8 @@ pub fn run_all(base_seed: u64, total: usize) -> CheckReport {
         report.cases.push((name, count));
     }
 
-    for workers in [1usize, 8] {
-        let failures = fault::run(workers);
-        report
-            .cases
-            .push((if workers == 1 { "farm@1" } else { "farm@8" }, 1));
-        report.failures.extend(failures);
-    }
+    report.failures.extend(fault::run());
+    report.cases.push(("farm", 1));
 
     // The daemon's wire protocol: ~1 batch of 24 hostile lines per 100
     // fuzz cases, at least 2 so a wedge left by batch 1 is caught.

@@ -164,13 +164,12 @@ fn batch(state: &Arc<ServerState>, seed: u64, lines_per_batch: usize) -> Vec<Str
 }
 
 /// Runs `batches` seeded hostile-protocol batches against one resident
-/// daemon state (workers stay up across batches — a wedge in batch `k`
+/// daemon state (the farm stays up across batches — a wedge in batch `k`
 /// surfaces in batch `k+1`'s sentinel).
 pub fn run(base_seed: u64, batches: usize) -> Vec<String> {
     let state = standalone_state(
         Technology::default_1p2um(),
         ServerConfig {
-            workers: 2,
             max_line_bytes: MAX_LINE,
             allow_remote_shutdown: false,
             ..ServerConfig::default()

@@ -13,9 +13,9 @@ use ape_oblx::{InitialPoint, OblxError, SynthesisOptions, SynthesisOutcome};
 ///
 /// Every variant is a pure function of the request payload plus the farm's
 /// [`Technology`]: submitting the same request twice yields the same
-/// response, which is what makes result caching and in-flight deduplication
-/// sound. The estimation graph's bit-exact memo keys make every estimate a
-/// pure function of its inputs, so results are identical whether a worker's
+/// response, which is what makes in-flight deduplication sound. The
+/// estimation graph's bit-exact memo keys make every estimate a pure
+/// function of its inputs, so results are identical whether a thread's
 /// graph is cold or warm.
 #[derive(Debug, Clone)]
 pub enum Request {
@@ -50,7 +50,7 @@ pub enum Request {
     },
     /// An arbitrary user job. The dedup key covers only `label` and
     /// `nonce` — callers must pick a distinct `nonce` per distinct
-    /// computation (or a fresh one per call to opt out of caching).
+    /// computation (or a fresh one per call to opt out of deduplication).
     Custom {
         /// Human-readable label (also part of the dedup key).
         label: &'static str,
@@ -114,21 +114,21 @@ pub enum FarmError {
     /// The job panicked; the worker survived and the panic payload (when
     /// it was a string) is preserved.
     Panicked(String),
-    /// Fail-fast submission found the queue at capacity.
+    /// Fail-fast submission found the farm at its admission bound.
     QueueFull,
-    /// The farm was shutting down when the job was submitted or queued.
+    /// The farm was shutting down when the job was submitted.
     ShuttingDown,
     /// The farm lost track of the job: its worker died outside the panic
-    /// net, or a result was awaited for a key no submission ever claimed.
-    /// Surfaced as an error instead of hanging or panicking the waiter.
+    /// net. Surfaced as an error instead of hanging or panicking the
+    /// waiter.
     WorkerLost(String),
     /// A submission referenced a technology fingerprint that was never
     /// registered with [`Farm::register_technology`](crate::Farm::register_technology).
-    /// The job is rejected before it touches the queue or the result cache.
+    /// The job is rejected before it is admitted or joins a flight.
     UnknownTechnology(u64),
     /// A submission referenced a calibration fingerprint that was never
     /// registered with [`Farm::register_calibration`](crate::Farm::register_calibration).
-    /// The job is rejected before it touches the queue or the result cache.
+    /// The job is rejected before it is admitted or joins a flight.
     UnknownCalibration(u64),
     /// A submission paired a calibration with a technology other than the
     /// one the table was fitted for. Applying it would silently correct
@@ -188,10 +188,10 @@ impl From<OblxError> for FarmError {
 /// Content-addressed identity of `(technology, request)`.
 ///
 /// Two requests with the same key are treated as the same computation by
-/// the farm's result cache. The key is built on the same bit-exact
+/// the farm's in-flight deduplication. The key is built on the same bit-exact
 /// [`Fingerprint`] helper the estimation graph uses for its memo keys
 /// (topologies and specs fold through their `fold_fingerprint` methods),
-/// so the farm cache and the graph agree on what "the same inputs" means.
+/// so the farm and the graph agree on what "the same inputs" means.
 /// The hash is stable within a process but is not a persistent format.
 /// Circuits are hashed through their canonical SPICE deck; `InitialPoint`
 /// and `SynthesisOptions` are hashed through their `Debug` rendering,
@@ -304,8 +304,8 @@ mod tests {
     #[test]
     fn solver_choice_is_part_of_the_key() {
         // `SynthesisOptions` is hashed through its `Debug` rendering, so a
-        // job resized by a different search engine must never hit a cached
-        // result computed by another one.
+        // job resized by a different search engine must never join a
+        // flight computed by another one.
         use ape_oblx::{InitialPoint, SolverChoice, SynthesisOptions};
         let tech = Technology::default_1p2um();
         let t = OpAmpTopology::miller(MirrorTopology::Simple, false);

@@ -9,26 +9,27 @@
 //!
 //! * a typed job model ([`Request`]/[`Response`]) covering op-amp design,
 //!   netlist estimation, and full annealing synthesis;
-//! * a bounded MPMC work queue ([`queue::BoundedQueue`]) with blocking
-//!   *and* fail-fast submission, so producers feel backpressure instead of
-//!   growing an unbounded backlog;
-//! * a fixed worker pool ([`Farm`]) with per-job deadlines, cooperative
+//! * a [`Farm`] that hands each admitted job straight to the process-wide
+//!   [`ape_exec`] executor. Admission is bounded
+//!   ([`FarmConfig::queue_capacity`]) with blocking *and* fail-fast
+//!   submission, so producers feel backpressure instead of growing an
+//!   unbounded backlog. Jobs get per-job deadlines, cooperative
 //!   cancellation (via [`ape_core::cancel`]), and panic isolation — a
 //!   panicking job fails that job, not the farm;
-//! * a content-addressed, single-flight result cache
-//!   ([`cache::ResultCache`]): identical requests are computed once,
-//!   whether they collide in flight or arrive after completion;
+//! * single-flight deduplication: identical requests that collide in
+//!   flight are computed once. The farm keeps no finished results; repeats
+//!   are answered by the estimation graph's bounded memos (per thread, and
+//!   across threads with [`FarmConfig::shared_graph`]);
 //! * a sweep driver ([`SweepPlan`]) that expands a parameter grid into
 //!   jobs, reduces the results to an area/power/gain-error Pareto front,
 //!   and streams the lot as deterministic JSON Lines.
 //!
 //! Determinism is a design constraint, not an accident: sweeps produce
-//! byte-identical output whatever the worker count, because every job is
-//! executed as a pure function of `(technology, request)` — the estimation
-//! graph's bit-exact memo keys make a warm worker return exactly what a
-//! cold one would (see [`FarmConfig::isolate_solver_cache`] for the one
-//! cache that still resets per job) — and results are collected in grid
-//! order.
+//! byte-identical output however the executor schedules them, because
+//! every job is executed as a pure function of `(technology, request)` —
+//! the estimation graph's bit-exact memo keys make a warm thread return
+//! exactly what a cold one would, and every job runs against an empty
+//! sparse-solver symbolic cache — and results are collected in grid order.
 //!
 //! Everything is built on `std` only — no external dependencies — and the
 //! whole stack is instrumented with [`ape_probe`] spans, counters, and
@@ -38,14 +39,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
+mod flight;
 pub mod job;
 pub mod pool;
-pub mod queue;
 pub mod sweep;
 
-pub use cache::{Claim, ResultCache};
 pub use job::{canonical_key, FarmError, Request, Response};
 pub use pool::{Farm, FarmConfig, FarmStats, JobHandle, SubmitOptions};
-pub use queue::{BoundedQueue, TryPushError};
 pub use sweep::{SweepMetrics, SweepPlan, SweepPoint, SweepRecord, SweepReport};

@@ -1,16 +1,14 @@
-//! The worker pool: a dispatcher thread drains the bounded job queue and
-//! schedules each job as a task on the process-wide [`ape_exec`] executor,
-//! executing requests against a shared [`Technology`], publishing results
-//! into the single-flight [`ResultCache`], with per-job cancellation,
-//! deadlines, and panic isolation. A permit semaphore caps how many jobs
-//! are in flight at once ([`FarmConfig::workers`], clamped to the
-//! machine), so the farm shares threads with every other executor client
-//! — AC sweeps, `evaluate_many` fan-outs, other farms — instead of
-//! running a competing pool.
+//! The farm: admitted jobs run as tasks on the process-wide [`ape_exec`]
+//! executor against a shared [`Technology`], with single-flight
+//! deduplication of identical jobs in flight, per-job cancellation and
+//! deadlines, and panic isolation. The executor decides how many jobs run
+//! at once; the farm only bounds how many are admitted and unfinished
+//! ([`FarmConfig::queue_capacity`]), so it shares threads with every other
+//! executor client — AC sweeps, `evaluate_many` fan-outs, other farms —
+//! instead of running a competing pool.
 
-use crate::cache::{Claim, ResultCache};
+use crate::flight::{Flight, Flights};
 use crate::job::{canonical_key, FarmError, Request, Response};
-use crate::queue::{BoundedQueue, TryPushError};
 use ape_calib::Calibration;
 use ape_core::cancel::{self, CancelToken};
 use ape_core::graph::SharedMemo;
@@ -21,70 +19,35 @@ use ape_netlist::Technology;
 use ape_oblx::synthesize;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// Configuration of a [`Farm`].
 #[derive(Debug, Clone)]
 pub struct FarmConfig {
-    /// Maximum jobs in flight at once. Defaults to the machine's available
-    /// parallelism, and is clamped to it at construction
-    /// ([`ape_exec::clamp_workers`]) — requesting more in-flight jobs than
-    /// the machine has cores buys queueing, not throughput. The clamped
-    /// value is visible as [`Farm::effective_workers`].
-    pub workers: usize,
-    /// Bounded queue capacity (backpressure threshold). Default 256.
+    /// Maximum jobs admitted and not yet finished (the backpressure
+    /// threshold). Default 256.
     pub queue_capacity: usize,
     /// Per-job deadline; a job still running past it is abandoned at the
     /// estimator's next cancellation checkpoint. `None` = no deadline.
     pub job_timeout: Option<Duration>,
-    /// Reset the per-thread estimation graph before every job (default
-    /// `false`). The graph's memo keys are bit-exact fingerprints of every
-    /// input, so a warm graph returns exactly what a cold recompute would —
-    /// results are independent of job order and worker count either way.
-    /// Enable only to measure cold-path latency; it forfeits the
-    /// incremental-estimation speedup across a sweep's neighbouring jobs.
-    pub isolate_sizing_cache: bool,
-    /// Reset the sparse solver's symbolic-factorisation cache before every
-    /// job (default `true`). A cached pivot order is a function of the job
-    /// that built it; isolated jobs each start cold, keeping a job's
-    /// floating-point path independent of what ran before it on the same
-    /// worker.
-    pub isolate_solver_cache: bool,
-    /// Attach one process-wide [`SharedMemo`] to every worker's estimation
-    /// graph (default `false`). Memo keys are bit-exact input fingerprints,
-    /// so the shared store is a pure read-through cache: results are
-    /// identical to isolated per-thread graphs, but a subtree computed by
-    /// one worker is served to every other worker — the pool warms up once
-    /// instead of once per thread. With this set, per-job graph resets
-    /// ([`FarmConfig::isolate_sizing_cache`]) only clear the cheap local
-    /// view; warmth survives in the shared store.
+    /// Attach one [`SharedMemo`] to the estimation graph of every thread
+    /// that runs this farm's jobs (default `false`). Memo keys are bit-exact
+    /// input fingerprints, so the shared store is a pure read-through cache:
+    /// results are identical to isolated per-thread graphs, but a subtree
+    /// computed on one executor thread is served to every other one — the
+    /// pool warms up once instead of once per thread.
     pub shared_graph: bool,
 }
 
 impl Default for FarmConfig {
     fn default() -> Self {
         FarmConfig {
-            workers: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
             queue_capacity: 256,
             job_timeout: None,
-            isolate_sizing_cache: false,
-            isolate_solver_cache: true,
             shared_graph: false,
-        }
-    }
-}
-
-impl FarmConfig {
-    /// Config with `workers` threads and the other fields at their defaults.
-    pub fn with_workers(workers: usize) -> Self {
-        FarmConfig {
-            workers: workers.max(1),
-            ..FarmConfig::default()
         }
     }
 }
@@ -93,19 +56,22 @@ impl FarmConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FarmStats {
     /// Requests accepted by `submit`/`try_submit` (including deduplicated
-    /// ones, which are accepted without queueing).
+    /// ones, which are accepted without admission).
     pub submitted: u64,
-    /// Jobs actually executed by a worker.
+    /// Jobs actually executed.
     pub executed: u64,
-    /// Submissions served from a completed cache entry.
+    /// Always 0: the farm keeps no finished results, so it never answers a
+    /// submission from one. Repeats are served by the estimation graph's
+    /// memos instead. Kept because the wire `stats` schema reports it.
     pub cache_hits: u64,
     /// Submissions folded into an identical in-flight job.
     pub deduped: u64,
     /// Jobs that finished with [`FarmError::Cancelled`].
     pub cancelled: u64,
-    /// Jobs that panicked (worker survived).
+    /// Jobs that panicked (the executor thread survived).
     pub panicked: u64,
-    /// Fail-fast submissions rejected with [`FarmError::QueueFull`].
+    /// Submissions refused: fail-fast [`FarmError::QueueFull`], or an
+    /// unknown technology or calibration.
     pub rejected: u64,
 }
 
@@ -113,7 +79,6 @@ pub struct FarmStats {
 struct StatCells {
     submitted: AtomicU64,
     executed: AtomicU64,
-    cache_hits: AtomicU64,
     deduped: AtomicU64,
     cancelled: AtomicU64,
     panicked: AtomicU64,
@@ -122,12 +87,12 @@ struct StatCells {
 
 /// Per-submission options for [`Farm::submit_opts`]: tenant technology
 /// selection, an externally owned cancellation token, and the
-/// blocking-vs-fail-fast queue policy.
+/// blocking-vs-fail-fast admission policy.
 #[derive(Debug, Clone, Default)]
 pub struct SubmitOptions {
     /// Run against the registered technology with this fingerprint instead
     /// of the farm's default. Unknown fingerprints resolve the handle
-    /// immediately to [`FarmError::UnknownTechnology`] without queueing.
+    /// immediately to [`FarmError::UnknownTechnology`] without admission.
     pub technology: Option<u64>,
     /// Apply the registered calibration table with this fingerprint to the
     /// job's estimates. Unknown fingerprints resolve the handle immediately
@@ -144,124 +109,102 @@ pub struct SubmitOptions {
     /// farm's [`FarmConfig::job_timeout`]: the job is abandoned at
     /// whichever expires first.
     pub deadline: Option<Duration>,
-    /// `true` = behave like [`Farm::try_submit`] (a full queue resolves the
-    /// handle to [`FarmError::QueueFull`]); `false` = block for a slot.
+    /// `true` = behave like [`Farm::try_submit`] (a full farm resolves the
+    /// handle to [`FarmError::QueueFull`]); `false` = block for room.
     pub fail_fast: bool,
 }
 
 struct WorkItem {
     key: u64,
+    flight: Arc<Flight>,
     req: Request,
     tech: Arc<Technology>,
     /// Calibration table the job's estimates run under (`None` = raw).
     calib: Option<Arc<Calibration>>,
     cancel: CancelToken,
     /// Innermost open span on the submitting thread, captured so the
-    /// worker-side `ape.farm.job` span parents under the submitting
-    /// request in the trace tree.
+    /// `ape.farm.job` span parents under the submitting request in the
+    /// trace tree.
     parent_span: Option<u64>,
-    /// Enqueue time, for the queue-wait histogram.
-    enqueued: Instant,
+    /// Admission time, for the queue-wait histogram.
+    admitted: Instant,
+    /// The submitting thread: a job that runs on it (inline, on an
+    /// executor with no workers) hands its per-thread state back.
+    submitter: ThreadId,
 }
 
-/// A counting semaphore bounding in-flight jobs. The dispatcher acquires
-/// a permit *before* popping the queue, so while every permit is out,
-/// queued items stay in the queue — which is what makes
-/// [`Farm::try_submit`] backpressure observable.
-struct Permits {
-    avail: Mutex<usize>,
-    returned: Condvar,
-    total: usize,
+/// Bounds admitted-but-unfinished jobs at the farm's capacity.
+struct Admission {
+    /// `(admitted, closed)`.
+    state: Mutex<(usize, bool)>,
+    changed: Condvar,
+    capacity: usize,
 }
 
-impl Permits {
-    fn new(total: usize) -> Self {
-        Permits {
-            avail: Mutex::new(total),
-            returned: Condvar::new(),
-            total,
-        }
+impl Admission {
+    fn lock(&self) -> MutexGuard<'_, (usize, bool)> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn acquire(&self) {
-        let mut avail = self.avail.lock().unwrap_or_else(|e| e.into_inner());
-        while *avail == 0 {
-            avail = self.returned.wait(avail).unwrap_or_else(|e| e.into_inner());
+    /// Admits one job, waiting for room unless `fail_fast`.
+    fn admit(&self, fail_fast: bool) -> Result<(), FarmError> {
+        let mut st = self.lock();
+        loop {
+            if st.1 {
+                return Err(FarmError::ShuttingDown);
+            }
+            if st.0 < self.capacity {
+                st.0 += 1;
+                ape_probe::gauge("ape.farm.inflight", st.0 as f64);
+                return Ok(());
+            }
+            if fail_fast {
+                ape_probe::counter("ape.farm.queue.rejected", 1);
+                return Err(FarmError::QueueFull);
+            }
+            st = self.changed.wait(st).unwrap_or_else(|e| e.into_inner());
         }
-        *avail -= 1;
     }
 
     fn release(&self) {
-        let mut avail = self.avail.lock().unwrap_or_else(|e| e.into_inner());
-        *avail += 1;
-        self.returned.notify_all();
+        let mut st = self.lock();
+        st.0 -= 1;
+        ape_probe::gauge("ape.farm.inflight", st.0 as f64);
+        self.changed.notify_all();
     }
 
-    /// Blocks until every permit is back — i.e. no job is in flight.
-    fn wait_all_returned(&self) {
-        let mut avail = self.avail.lock().unwrap_or_else(|e| e.into_inner());
-        while *avail < self.total {
-            avail = self.returned.wait(avail).unwrap_or_else(|e| e.into_inner());
+    /// Refuses further admissions, then waits until every admitted job has
+    /// finished.
+    fn close_and_drain(&self) {
+        let mut st = self.lock();
+        st.1 = true;
+        self.changed.notify_all();
+        while st.0 > 0 {
+            st = self.changed.wait(st).unwrap_or_else(|e| e.into_inner());
         }
-    }
-}
-
-/// Returns a job's permit when the task finishes — including a panic
-/// unwinding past `run_item`'s net (the executor's own `catch_unwind`
-/// stops it after this guard has dropped).
-struct PermitOnDrop {
-    shared: Arc<Shared>,
-}
-
-impl Drop for PermitOnDrop {
-    fn drop(&mut self) {
-        self.shared.permits.release();
     }
 }
 
 struct Shared {
-    queue: BoundedQueue<WorkItem>,
-    cache: ResultCache,
+    admission: Admission,
+    flights: Flights,
     tech: Arc<Technology>,
     /// Registered tenant technologies, keyed by fingerprint. The default
     /// technology is registered at construction; the map only grows.
     tenants: RwLock<HashMap<u64, Arc<Technology>>>,
     /// Registered calibration tables, keyed by table fingerprint.
     /// Re-registering a *different* table yields a different fingerprint,
-    /// so stale cached results are unreachable by construction — the
-    /// calibration fingerprint is folded into every job key.
+    /// so stale memoized estimates are unreachable by construction — the
+    /// calibration fingerprint is folded into every job and memo key.
     calibrations: RwLock<HashMap<u64, Arc<Calibration>>>,
-    /// Cross-worker estimation memo store when
+    /// Cross-thread estimation memo store when
     /// [`FarmConfig::shared_graph`] is set.
     shared_graph: Option<Arc<SharedMemo>>,
-    /// In-flight job bound (the farm's share of the process executor).
-    permits: Permits,
-    inflight: AtomicUsize,
-    isolate_sizing_cache: bool,
-    isolate_solver_cache: bool,
     stats: StatCells,
     /// Always-on latency telemetry, independent of whether a probe sink is
     /// installed: the farm owns its own lock-free histograms.
     queue_wait_ns: ape_probe::Histogram,
     job_latency_ns: ape_probe::Histogram,
-}
-
-/// A handle to one submitted job.
-///
-/// Dropping the handle does not cancel the job; call
-/// [`JobHandle::cancel`] for that. [`JobHandle::wait`] may be called from
-/// any thread and any number of handles for the same key may wait
-/// concurrently.
-#[derive(Debug, Clone)]
-pub struct JobHandle {
-    key: u64,
-    cancel: CancelToken,
-    shared: Arc<Shared>,
-    /// A submission rejected before it touched the queue or cache (e.g. an
-    /// unknown technology fingerprint): the handle is born resolved and
-    /// never consults the single-flight cache, so the bad submission can't
-    /// interfere with an honest job under the same key.
-    immediate: Option<FarmError>,
 }
 
 impl Shared {
@@ -285,20 +228,36 @@ impl Shared {
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shared")
-            .field("queue", &self.queue)
-            .field("cache", &self.cache)
+            .field("admitted", &self.admission.lock().0)
+            .field("capacity", &self.admission.capacity)
+            .field("in_flight", &self.flights.len())
             .finish()
     }
 }
 
+/// A handle to one submitted job.
+///
+/// Dropping the handle does not cancel the job; call
+/// [`JobHandle::cancel`] for that. [`JobHandle::wait`] may be called from
+/// any thread and any number of handles for the same flight may wait
+/// concurrently.
+#[derive(Debug, Clone)]
+pub struct JobHandle {
+    key: u64,
+    cancel: CancelToken,
+    flight: Arc<Flight>,
+}
+
 impl JobHandle {
-    /// The job's content-addressed key (stable within this process).
+    /// The job's content-addressed key (stable within this process; 0 for
+    /// a submission rejected before it was keyed).
     pub fn key(&self) -> u64 {
         self.key
     }
 
-    /// Requests cancellation of this job. The running worker abandons it
-    /// at the estimator's next checkpoint; a queued job fails on dequeue.
+    /// Requests cancellation of this job. A running job is abandoned at
+    /// the estimator's next checkpoint; a job not yet started fails when
+    /// it starts.
     pub fn cancel(&self) {
         self.cancel.cancel();
     }
@@ -306,23 +265,17 @@ impl JobHandle {
     /// Blocks until the job (or the identical job it was deduplicated
     /// into) completes, and returns its result.
     pub fn wait(&self) -> Result<Response, FarmError> {
-        if let Some(err) = &self.immediate {
-            return Err(err.clone());
-        }
-        self.shared.cache.wait(self.key)
+        self.flight.wait()
     }
 
     /// Non-blocking result peek.
     pub fn peek(&self) -> Option<Result<Response, FarmError>> {
-        if let Some(err) = &self.immediate {
-            return Some(Err(err.clone()));
-        }
-        self.shared.cache.peek(self.key)
+        self.flight.peek()
     }
 }
 
-/// A concurrent batch-estimation engine: bounded work queue, fixed worker
-/// pool, content-addressed single-flight result cache.
+/// A concurrent batch-estimation engine: bounded admission onto the shared
+/// executor, single-flight deduplication of identical jobs in flight.
 ///
 /// # Example
 ///
@@ -332,7 +285,7 @@ impl JobHandle {
 /// use ape_farm::{Farm, FarmConfig, Request};
 /// use ape_netlist::Technology;
 ///
-/// let farm = Farm::new(Technology::default_1p2um(), FarmConfig::with_workers(2));
+/// let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
 /// let h = farm.submit(Request::OpAmpDesign {
 ///     topology: OpAmpTopology::miller(MirrorTopology::Simple, false),
 ///     spec: OpAmpSpec {
@@ -346,95 +299,41 @@ impl JobHandle {
 /// });
 /// let amp = h.wait().unwrap();
 /// assert!(amp.as_opamp().unwrap().perf.dc_gain.unwrap().abs() >= 150.0);
-/// drop(farm); // joins the workers
+/// drop(farm); // waits for every admitted job
 /// ```
 #[derive(Debug)]
 pub struct Farm {
     shared: Arc<Shared>,
-    dispatcher: Option<JoinHandle<()>>,
     cancel: CancelToken,
     job_timeout: Option<Duration>,
-    configured_workers: usize,
-    effective_workers: usize,
 }
 
 impl Farm {
-    /// Builds a farm over a bounded queue: one dispatcher thread feeds
-    /// jobs to the process-wide [`ape_exec`] executor, with at most
-    /// `config.workers` (clamped to the machine's parallelism) in flight
-    /// at once.
+    /// Builds a farm that runs its jobs on the process-wide [`ape_exec`]
+    /// executor, admitting at most `config.queue_capacity` unfinished jobs.
     pub fn new(tech: Technology, config: FarmConfig) -> Self {
         let tech = Arc::new(tech);
         let mut tenants = HashMap::new();
         tenants.insert(tech.fingerprint(), tech.clone());
-        let configured_workers = config.workers.max(1);
-        // Clamp the in-flight bound to the machine: jobs beyond the core
-        // count would only time-slice each other on the shared executor.
-        // (There is no per-call work-item count for a long-lived pool, so
-        // that clamp term is unbounded here.)
-        let effective_workers = ape_exec::clamp_workers(configured_workers, usize::MAX);
         let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(config.queue_capacity),
-            cache: ResultCache::new(),
+            admission: Admission {
+                state: Mutex::new((0, false)),
+                changed: Condvar::new(),
+                capacity: config.queue_capacity.max(1),
+            },
+            flights: Flights::default(),
             tech,
             tenants: RwLock::new(tenants),
             calibrations: RwLock::new(HashMap::new()),
             shared_graph: config.shared_graph.then(|| Arc::new(SharedMemo::new())),
-            permits: Permits::new(effective_workers),
-            inflight: AtomicUsize::new(0),
-            isolate_sizing_cache: config.isolate_sizing_cache,
-            isolate_solver_cache: config.isolate_solver_cache,
             stats: StatCells::default(),
             queue_wait_ns: ape_probe::Histogram::new(),
             job_latency_ns: ape_probe::Histogram::new(),
         });
-        let cancel = CancelToken::new();
-        // The dispatcher is the farm's only dedicated thread. Spawning can
-        // fail under resource exhaustion; retry once after a short backoff
-        // (transient EAGAIN usually clears) before degrading.
-        let mut dispatcher = None;
-        for attempt in 0..2 {
-            let shared_d = shared.clone();
-            match std::thread::Builder::new()
-                .name("ape-farm-dispatch".to_string())
-                .spawn(move || dispatcher_loop(&shared_d))
-            {
-                Ok(handle) => {
-                    dispatcher = Some(handle);
-                    break;
-                }
-                Err(_) if attempt == 0 => {
-                    ape_probe::counter("ape.farm.dispatcher.spawn_retry", 1);
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => {
-                    ape_probe::counter("ape.farm.worker.spawn_failed", 1);
-                }
-            }
-        }
-        if dispatcher.is_none() {
-            // Nothing will ever drain the queue: close it so every
-            // submission resolves to `ShuttingDown` instead of hanging.
-            shared.queue.close();
-        }
         Farm {
             shared,
-            dispatcher,
-            cancel,
+            cancel: CancelToken::new(),
             job_timeout: config.job_timeout,
-            configured_workers,
-            effective_workers,
-        }
-    }
-
-    /// The in-flight job bound actually in force: `config.workers` after
-    /// clamping to the machine's available parallelism. 0 when the farm is
-    /// degraded (its dispatcher could not be spawned).
-    pub fn effective_workers(&self) -> usize {
-        if self.dispatcher.is_some() {
-            self.effective_workers
-        } else {
-            0
         }
     }
 
@@ -470,8 +369,8 @@ impl Farm {
     /// same table twice is idempotent. A *changed* table (re-fitted against
     /// fresh audits, say) has a different content fingerprint and so a
     /// different id: jobs selecting it key differently from jobs that ran
-    /// under the old table, which is what makes the result cache (and the
-    /// workers' shared estimation memos) safe across re-registration.
+    /// under the old table, which is what makes in-flight deduplication
+    /// (and the shared estimation memos) safe across re-registration.
     pub fn register_calibration(&self, cal: Calibration) -> u64 {
         let fp = cal.fingerprint();
         let mut cals = self
@@ -488,29 +387,28 @@ impl Farm {
         self.shared.lookup_calibration(fp)
     }
 
-    /// The cross-worker shared estimation memo, when
+    /// The cross-thread shared estimation memo, when
     /// [`FarmConfig::shared_graph`] is enabled.
     pub fn shared_memo(&self) -> Option<&Arc<SharedMemo>> {
         self.shared.shared_graph.as_ref()
     }
 
     /// Human-readable summary of the sparse solver's symbolic-factorisation
-    /// cache across all workers, in the same spirit as
-    /// [`ape_core::graph::graph_report`]. With
-    /// [`FarmConfig::isolate_solver_cache`] unset, repeated same-topology
-    /// jobs on one worker reuse pivot orders and the hit rate here shows it.
+    /// cache, in the same spirit as [`ape_core::graph::graph_report`]. Each
+    /// farm job runs against an empty cache, so its pivot orders are its
+    /// own.
     pub fn solver_cache_report(&self) -> String {
         ape_spice::symbolic_cache_report()
     }
 
-    /// Distribution of per-job queue wait (submit → dequeue),
-    /// nanoseconds. Recorded for every executed job whether or not a probe
-    /// sink is installed.
+    /// Distribution of per-job queue wait (admission → start on an executor
+    /// thread), nanoseconds. Recorded for every executed job whether or not
+    /// a probe sink is installed.
     pub fn queue_wait_ns(&self) -> ape_probe::HistogramSnapshot {
         self.shared.queue_wait_ns.snapshot()
     }
 
-    /// Distribution of per-job execution latency (dequeue → published
+    /// Distribution of per-job execution latency (start → published
     /// result), nanoseconds.
     pub fn job_latency_ns(&self) -> ape_probe::HistogramSnapshot {
         self.shared.job_latency_ns.snapshot()
@@ -527,21 +425,15 @@ impl Farm {
         let exec = ape_exec::Executor::global();
         let _ = writeln!(
             out,
-            "  pool: {} in-flight permits ({} configured), shared executor {} workers (parallelism {}){}",
-            self.effective_workers,
-            self.configured_workers,
+            "  pool: shared executor {} workers (parallelism {}), at most {} jobs admitted",
             exec.workers(),
             exec.parallelism(),
-            if self.dispatcher.is_some() {
-                ""
-            } else {
-                " — DEGRADED: dispatcher spawn failed, submissions are rejected"
-            }
+            self.shared.admission.capacity,
         );
         let _ = writeln!(
             out,
-            "  jobs: {} submitted, {} executed, {} cache hits, {} deduped, {} cancelled, {} panicked, {} rejected",
-            s.submitted, s.executed, s.cache_hits, s.deduped, s.cancelled, s.panicked, s.rejected
+            "  jobs: {} submitted, {} executed, {} deduped, {} cancelled, {} panicked, {} rejected",
+            s.submitted, s.executed, s.deduped, s.cancelled, s.panicked, s.rejected
         );
         let fmt_ns = |v: f64| ape_probe::fmt_nanos(v.max(0.0) as u64);
         let _ = writeln!(
@@ -574,7 +466,7 @@ impl Farm {
         FarmStats {
             submitted: s.submitted.load(Ordering::Relaxed),
             executed: s.executed.load(Ordering::Relaxed),
-            cache_hits: s.cache_hits.load(Ordering::Relaxed),
+            cache_hits: 0,
             deduped: s.deduped.load(Ordering::Relaxed),
             cancelled: s.cancelled.load(Ordering::Relaxed),
             panicked: s.panicked.load(Ordering::Relaxed),
@@ -598,18 +490,40 @@ impl Farm {
         }
     }
 
-    /// Submits a request, blocking while the queue is full (backpressure).
+    /// A handle born resolved to `err`, for a submission refused before it
+    /// was keyed: it never joins a flight, so it can't interfere with an
+    /// honest job under the same request.
+    fn refuse(&self, counter: &'static str, err: FarmError) -> JobHandle {
+        self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+        ape_probe::counter(counter, 1);
+        JobHandle {
+            key: 0,
+            cancel: CancelToken::new(),
+            flight: Flight::resolved(Err(err)),
+        }
+    }
+
+    /// Submits a request, blocking while the farm is full (backpressure).
     ///
-    /// An identical in-flight or completed request is shared instead of
-    /// re-queued; the returned handle then waits on the shared flight.
+    /// An identical request still in flight is shared instead of run
+    /// again; the returned handle then waits on the shared flight. On an
+    /// executor with no worker threads the job runs inline, before this
+    /// returns, and leaves the calling thread's estimation-graph
+    /// attachments and solver cache as it found them.
     pub fn submit(&self, req: Request) -> JobHandle {
         self.submit_opts(req, SubmitOptions::default())
     }
 
-    /// Fail-fast submission: like [`Farm::submit`] but a full queue yields
+    /// `true` when a submission runs its job inline, before it returns:
+    /// the shared executor has no worker threads (a one-core host).
+    pub fn submits_inline(&self) -> bool {
+        ape_exec::Executor::global().workers() == 0
+    }
+
+    /// Fail-fast submission: like [`Farm::submit`] but a full farm yields
     /// a handle already resolved to [`FarmError::QueueFull`] instead of
     /// blocking. Deduplicated submissions never fail this way — sharing an
-    /// existing flight needs no queue slot.
+    /// existing flight needs no admission.
     pub fn try_submit(&self, req: Request) -> JobHandle {
         self.submit_opts(
             req,
@@ -622,7 +536,7 @@ impl Farm {
 
     /// Submits a request with per-submission [`SubmitOptions`]: tenant
     /// technology selection, caller-owned cancellation, extra deadline,
-    /// and queue policy.
+    /// and admission policy.
     pub fn submit_opts(&self, req: Request, opts: SubmitOptions) -> JobHandle {
         let shared = &self.shared;
         shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
@@ -631,14 +545,10 @@ impl Farm {
             Some(fp) => match shared.lookup_technology(fp) {
                 Some(t) => t,
                 None => {
-                    shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    ape_probe::counter("ape.farm.unknown_technology", 1);
-                    return JobHandle {
-                        key: 0,
-                        cancel: CancelToken::new(),
-                        shared: shared.clone(),
-                        immediate: Some(FarmError::UnknownTechnology(fp)),
-                    };
+                    return self.refuse(
+                        "ape.farm.unknown_technology",
+                        FarmError::UnknownTechnology(fp),
+                    )
                 }
             },
         };
@@ -647,34 +557,25 @@ impl Farm {
             Some(fp) => match shared.lookup_calibration(fp) {
                 Some(c) if c.technology_fingerprint() == tech.fingerprint() => Some(c),
                 Some(c) => {
-                    shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    ape_probe::counter("ape.farm.calibration_mismatch", 1);
-                    return JobHandle {
-                        key: 0,
-                        cancel: CancelToken::new(),
-                        shared: shared.clone(),
-                        immediate: Some(FarmError::CalibrationMismatch {
+                    return self.refuse(
+                        "ape.farm.calibration_mismatch",
+                        FarmError::CalibrationMismatch {
                             expected: tech.fingerprint(),
                             got: c.technology_fingerprint(),
-                        }),
-                    };
+                        },
+                    )
                 }
                 None => {
-                    shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    ape_probe::counter("ape.farm.unknown_calibration", 1);
-                    return JobHandle {
-                        key: 0,
-                        cancel: CancelToken::new(),
-                        shared: shared.clone(),
-                        immediate: Some(FarmError::UnknownCalibration(fp)),
-                    };
+                    return self.refuse(
+                        "ape.farm.unknown_calibration",
+                        FarmError::UnknownCalibration(fp),
+                    )
                 }
             },
         };
-        let fail_fast = opts.fail_fast;
         // A calibrated job computes different numbers from an uncalibrated
         // one with the same payload, so the table's content fingerprint is
-        // part of the job's identity in the single-flight cache.
+        // part of the job's identity.
         let key = match &calib {
             None => canonical_key(&tech, &req),
             Some(c) => Fingerprint::new()
@@ -683,76 +584,58 @@ impl Farm {
                 .finish(),
         };
         let token = self.job_token(&opts);
+        let (flight, owner) = shared.flights.claim(key);
         let handle = JobHandle {
             key,
             cancel: token.clone(),
-            shared: shared.clone(),
-            immediate: None,
+            flight: flight.clone(),
         };
-        match shared.cache.claim(key) {
-            Claim::Shared => {
-                // Someone owns this key: completed → cache hit, in
-                // flight → dedup. Count by peeking at completion state.
-                if shared.cache.peek(key).is_some() {
-                    shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
-                }
-                handle
-            }
-            Claim::Owner => {
-                let item = WorkItem {
-                    key,
-                    req,
-                    tech,
-                    calib,
-                    cancel: token,
-                    parent_span: ape_probe::current_span(),
-                    enqueued: Instant::now(),
-                };
-                // Having claimed ownership we MUST publish an outcome for
-                // this key on every path, or deduplicated waiters hang.
-                if fail_fast {
-                    match shared.queue.try_push(item) {
-                        Ok(()) => {}
-                        Err((_, TryPushError::Full)) => {
-                            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                            shared.cache.publish(key, Err(FarmError::QueueFull));
-                        }
-                        Err((_, TryPushError::Closed)) => {
-                            shared.cache.publish(key, Err(FarmError::ShuttingDown));
-                        }
-                    }
-                } else if shared.queue.push(item).is_err() {
-                    shared.cache.publish(key, Err(FarmError::ShuttingDown));
-                }
-                handle
-            }
+        if !owner {
+            shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
+            return handle;
         }
+        // Having claimed the flight we MUST publish an outcome on every
+        // path, or deduplicated waiters hang.
+        if let Err(err) = shared.admission.admit(opts.fail_fast) {
+            if err == FarmError::QueueFull {
+                shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            }
+            shared.flights.publish(key, &flight, Err(err));
+            return handle;
+        }
+        let item = WorkItem {
+            key,
+            flight,
+            req,
+            tech,
+            calib,
+            cancel: token,
+            parent_span: ape_probe::current_span(),
+            admitted: Instant::now(),
+            submitter: std::thread::current().id(),
+        };
+        let task_shared = shared.clone();
+        ape_exec::Executor::global().spawn(move || run_job(&task_shared, &item));
+        handle
     }
 
-    /// Cancels every queued and running job. Workers stay alive and serve
-    /// later submissions; only jobs holding a token derived before this
-    /// call are affected... which is all of them, so in practice this
-    /// empties the farm. Subsequent submissions get fresh tokens from the
-    /// same root and are ALSO cancelled — use this only when tearing the
-    /// batch down.
+    /// Cancels every admitted job. Later submissions get fresh tokens from
+    /// the same root and are ALSO cancelled — use this only when tearing
+    /// the batch down.
     pub fn cancel_all(&self) {
         self.cancel.cancel();
     }
 
-    /// Closes the queue and joins the dispatcher, which first drains the
-    /// queue and then waits for every in-flight job's permit to return —
-    /// queued-but-unstarted jobs still execute (close drains); new
-    /// submissions fail with [`FarmError::ShuttingDown`]. Called
-    /// automatically on drop.
-    pub fn shutdown(&mut self) {
-        self.shared.queue.close();
-        if let Some(d) = self.dispatcher.take() {
-            // A dispatcher that somehow panicked is not worth propagating
-            // during teardown.
-            let _ = d.join();
-        }
+    /// Closes admission and waits until every admitted job has run —
+    /// admitted-but-unstarted jobs still execute; new submissions fail with
+    /// [`FarmError::ShuttingDown`]. Called automatically on drop.
+    ///
+    /// It waits for the jobs, not for their results: a job frees its slot
+    /// just before it publishes, so right after this returns the last
+    /// handles' [`JobHandle::peek`] may still read `None`. Use
+    /// [`JobHandle::wait`] for the result.
+    pub fn shutdown(&self) {
+        self.shared.admission.close_and_drain();
     }
 }
 
@@ -762,95 +645,77 @@ impl Drop for Farm {
     }
 }
 
-/// Publishes a `WorkerLost` result for a claimed key unless defused.
+/// Releases a job's admission slot and publishes its outcome on every exit
+/// path. The slot goes first, so a caller whose `wait` has returned can
+/// submit again without racing the release.
 ///
-/// `run_item` already nets ordinary job panics with `catch_unwind`, but a
-/// panic *outside* that net (probe sink, cache reset, a non-unwind payload
-/// aborting the worker thread) used to leave the key `InFlight` forever —
-/// every deduplicated waiter would then sleep until process exit. Arming
-/// this guard before running the job guarantees an outcome is published on
-/// every exit path.
-struct PublishOnDrop<'a> {
+/// `run_item` nets ordinary job panics with `catch_unwind`, but a panic
+/// *outside* that net (probe sink) unwinds through here with no outcome
+/// set: the waiters then get `WorkerLost` instead of sleeping until process
+/// exit, and the slot is not leaked.
+struct Finish<'a> {
     shared: &'a Shared,
-    key: u64,
-    armed: bool,
+    item: &'a WorkItem,
+    outcome: Option<Result<Response, FarmError>>,
+    /// The submitting thread's graph attachments, put back when the job ran
+    /// inline on that thread.
+    restore: Option<ThreadAttachments>,
 }
 
-impl Drop for PublishOnDrop<'_> {
+type ThreadAttachments = (Option<Arc<SharedMemo>>, Option<Arc<Calibration>>);
+
+impl Drop for Finish<'_> {
     fn drop(&mut self) {
-        if self.armed {
+        if let Some((memo, calib)) = self.restore.take() {
+            ape_core::graph::ensure_thread_shared_memo(memo);
+            ape_core::graph::ensure_thread_calibration(calib);
+        }
+        let outcome = self.outcome.take().unwrap_or_else(|| {
             ape_probe::counter("ape.farm.worker.lost_job", 1);
             self.shared.stats.panicked.fetch_add(1, Ordering::Relaxed);
-            self.shared.cache.publish(
-                self.key,
-                Err(FarmError::WorkerLost(
-                    "worker died before publishing a result".to_string(),
-                )),
-            );
-        }
-    }
-}
-
-/// The farm's only dedicated thread: acquire a permit, pop one job,
-/// schedule it as a detached task on the process-wide executor, repeat.
-/// Acquiring *before* popping is load-bearing: while every permit is out,
-/// queued items stay queued, so [`Farm::try_submit`]'s backpressure
-/// contract holds. On a machine whose executor has no worker threads the
-/// spawn runs the job inline right here — the dispatcher then doubles as
-/// the single worker, and the permit bound degenerates to serial
-/// execution, which is all one core can do anyway.
-fn dispatcher_loop(shared: &Arc<Shared>) {
-    let _span = ape_probe::span("ape.farm.worker");
-    loop {
-        shared.permits.acquire();
-        let Some(item) = shared.queue.pop() else {
-            // Queue closed and drained.
-            shared.permits.release();
-            break;
-        };
-        let task_shared = shared.clone();
-        ape_exec::Executor::global().spawn(move || {
-            let _permit = PermitOnDrop {
-                shared: task_shared.clone(),
-            };
-            run_job(&task_shared, &item);
+            Err(FarmError::WorkerLost(
+                "worker died before publishing a result".to_string(),
+            ))
         });
+        self.shared.admission.release();
+        self.shared
+            .flights
+            .publish(self.item.key, &self.item.flight, outcome);
     }
-    // Shutdown's contract is "every accepted job has published a result
-    // by the time `shutdown` returns": the dispatcher is joined there, so
-    // wait for the stragglers' permits before exiting.
-    shared.permits.wait_all_returned();
 }
 
-/// Executes one dequeued job on whatever thread the executor chose and
-/// publishes its outcome. This is the old per-worker loop body, minus the
-/// loop: thread affinity is gone, so per-thread state (the estimation
-/// graph's shared-memo attachment) is asserted per job instead of once at
-/// worker start.
+/// Executes one admitted job on whatever thread the executor chose and
+/// publishes its outcome. Executor threads are shared with other farms and
+/// clients, so per-thread state (the estimation graph's shared-memo and
+/// calibration attachments) is asserted per job. A job that ran inline on
+/// the submitting thread puts that thread's attachments back, so a caller's
+/// own `OpAmp::design` after a submission computes exactly what it would
+/// have without one, whatever the executor's size.
 fn run_job(shared: &Shared, item: &WorkItem) {
-    // Attach (or detach) this thread's estimation graph to the farm's
-    // memo store. Executor threads are shared between farms and other
-    // clients, so this is per-job — but `ensure` compares by `Arc`
-    // identity, so consecutive jobs from the same farm keep the thread's
-    // warm graph and pay nothing.
-    ape_core::graph::ensure_thread_shared_memo(shared.shared_graph.clone());
-    // Install (or clear) the job's calibration table on this thread.
-    // Comparison is by content fingerprint, so consecutive jobs under the
-    // same table keep the warm graph; the fingerprint is also folded into
-    // every memo key, so a stale entry can never answer a calibrated job.
-    ape_core::graph::ensure_thread_calibration(item.calib.clone());
-    let mut guard = PublishOnDrop {
+    let restore = (std::thread::current().id() == item.submitter).then(|| {
+        (
+            ape_core::graph::thread_shared_memo(),
+            ape_core::graph::thread_calibration(),
+        )
+    });
+    let mut finish = Finish {
         shared,
-        key: item.key,
-        armed: true,
+        item,
+        outcome: None,
+        restore,
     };
-    let wait_ns = item.enqueued.elapsed().as_nanos() as f64;
+    // `ensure` compares by `Arc` identity (by content fingerprint for the
+    // calibration), so consecutive jobs from the same farm keep the
+    // thread's warm graph and pay nothing; the calibration fingerprint is
+    // also folded into every memo key, so a stale entry can never answer a
+    // calibrated job.
+    ape_core::graph::ensure_thread_shared_memo(shared.shared_graph.clone());
+    ape_core::graph::ensure_thread_calibration(item.calib.clone());
+    let wait_ns = item.admitted.elapsed().as_nanos() as f64;
     shared.queue_wait_ns.record(wait_ns);
     ape_probe::value("ape.farm.queue.wait_ns", wait_ns);
-    let inflight = shared.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-    ape_probe::gauge("ape.farm.inflight", inflight as f64);
     let t0 = Instant::now();
-    let result = run_item(shared, item);
+    let result = run_item(item);
     let latency_ns = t0.elapsed().as_nanos() as f64;
     shared.job_latency_ns.record(latency_ns);
     ape_probe::value("ape.farm.job.latency_ns", latency_ns);
@@ -867,28 +732,25 @@ fn run_job(shared: &Shared, item: &WorkItem) {
         Err(_) => ape_probe::counter("ape.farm.job.failed", 1),
         Ok(_) => ape_probe::counter("ape.farm.job.ok", 1),
     }
-    guard.armed = false;
-    shared.cache.publish(item.key, result);
-    let inflight = shared.inflight.fetch_sub(1, Ordering::Relaxed) - 1;
-    ape_probe::gauge("ape.farm.inflight", inflight as f64);
+    finish.outcome = Some(result);
 }
 
-fn run_item(shared: &Shared, item: &WorkItem) -> Result<Response, FarmError> {
-    // Parent the worker-side span under the innermost span that was open on
-    // the submitting thread, so a sweep's jobs hang off its request span in
+fn run_item(item: &WorkItem) -> Result<Response, FarmError> {
+    // Parent the job span under the innermost span that was open on the
+    // submitting thread, so a sweep's jobs hang off its request span in
     // the exported trace tree instead of floating as roots.
     let _span = ape_probe::span_with_parent("ape.farm.job", item.parent_span);
     if item.cancel.is_cancelled() {
         return Err(FarmError::Cancelled);
     }
     let _token_guard = cancel::set_current(item.cancel.clone());
-    if shared.isolate_sizing_cache {
-        ape_core::graph::reset_thread_graph();
-    }
-    if shared.isolate_solver_cache {
-        ape_spice::reset_symbolic_cache();
-    }
-    let outcome = catch_unwind(AssertUnwindSafe(|| execute(&item.tech, &item.req)));
+    // A cached pivot order is a function of the job that built it; each
+    // job starts cold so its floating-point path doesn't depend on what
+    // ran before it on the same thread, and the thread's own cache is put
+    // back afterwards.
+    let outcome = ape_spice::with_fresh_symbolic_cache(|| {
+        catch_unwind(AssertUnwindSafe(|| execute(&item.tech, &item.req)))
+    });
     match outcome {
         Ok(result) => result,
         Err(payload) => {
@@ -922,5 +784,114 @@ fn execute(tech: &Technology, req: &Request) -> Result<Response, FarmError> {
             Ok(Response::Synthesis(Box::new(out)))
         }
         Request::Custom { run, .. } => run(tech),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn noop(_tech: &Technology) -> Result<Response, FarmError> {
+        Ok(Response::Text(String::new()))
+    }
+
+    /// The farm keeps nothing per request once a job has finished: 100 000
+    /// distinct requests leave the in-flight map empty and the admission
+    /// count at 0, so a resident farm's memory does not grow with the
+    /// number of distinct requests it has answered.
+    #[test]
+    fn distinct_jobs_leave_no_resident_state() {
+        let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
+        for batch in 0..100u64 {
+            let handles: Vec<_> = (0..1000)
+                .map(|i| {
+                    farm.submit(Request::Custom {
+                        label: "soak",
+                        nonce: batch * 1000 + i,
+                        run: noop,
+                    })
+                })
+                .collect();
+            for h in handles {
+                assert!(h.wait().is_ok());
+            }
+        }
+        assert_eq!(farm.shared.admission.lock().0, 0, "admission leaked");
+        assert_eq!(farm.shared.flights.len(), 0, "in-flight map kept entries");
+        assert_eq!(farm.stats().executed, 100_000);
+    }
+
+    /// Reports the graph attachments the job ran under.
+    fn attachments(_tech: &Technology) -> Result<Response, FarmError> {
+        Ok(Response::Text(format!(
+            "memo={} calib={}",
+            ape_core::graph::thread_shared_memo().is_some(),
+            ape_core::graph::thread_calibration().is_some()
+        )))
+    }
+
+    /// A job that runs inline on its submitting thread (as on an executor
+    /// with no workers) runs under the farm's attachments and then hands the
+    /// thread back as it found it, so the caller's own designs stay raw. On
+    /// any other thread the attachments stay, keeping that thread's graph
+    /// warm for the farm's next job.
+    #[test]
+    fn inline_job_restores_the_submitting_threads_attachments() {
+        use ape_core::graph::{thread_calibration, thread_shared_memo};
+        let config = FarmConfig {
+            shared_graph: true,
+            ..FarmConfig::default()
+        };
+        let farm = Farm::new(Technology::default_1p2um(), config);
+        let calib = Arc::new(Calibration::identity(
+            farm.technology().fingerprint(),
+            "inline",
+        ));
+        let run_as = |submitter: ThreadId| {
+            let (flight, owner) = farm.shared.flights.claim(1);
+            assert!(owner);
+            let item = WorkItem {
+                key: 1,
+                flight: flight.clone(),
+                req: Request::Custom {
+                    label: "attachments",
+                    nonce: 0,
+                    run: attachments,
+                },
+                tech: farm.shared.tech.clone(),
+                calib: Some(calib.clone()),
+                cancel: CancelToken::new(),
+                parent_span: None,
+                admitted: Instant::now(),
+                submitter,
+            };
+            farm.shared.admission.admit(false).unwrap();
+            run_job(&farm.shared, &item);
+            match flight.peek() {
+                Some(Ok(Response::Text(t))) => t,
+                other => panic!("job did not publish: {other:?}"),
+            }
+        };
+
+        let inline = run_as(std::thread::current().id());
+        assert_eq!(inline, "memo=true calib=true");
+        assert!(thread_shared_memo().is_none(), "inline job left its memo");
+        assert!(thread_calibration().is_none(), "inline job left its table");
+
+        let elsewhere = std::thread::spawn(|| std::thread::current().id())
+            .join()
+            .unwrap();
+        assert_eq!(run_as(elsewhere), "memo=true calib=true");
+        assert!(Arc::ptr_eq(
+            &thread_shared_memo().unwrap(),
+            farm.shared_memo().unwrap()
+        ));
+        assert_eq!(
+            thread_calibration().map(|c| c.fingerprint()),
+            Some(calib.fingerprint())
+        );
+        ape_core::graph::set_thread_shared_memo(None);
+        ape_core::graph::set_thread_calibration(None);
+        assert_eq!(farm.shared.admission.lock().0, 0);
     }
 }

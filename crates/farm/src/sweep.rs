@@ -5,9 +5,9 @@
 //! The sweep is deterministic by construction: points are enumerated in a
 //! fixed row-major order, every job is a pure function of
 //! `(technology, request)` (the estimation graph memoizes on bit-exact
-//! input fingerprints, so warm and cold workers agree), and results are
+//! input fingerprints, so warm and cold threads agree), and results are
 //! collected in point order — so the JSONL output is byte-identical
-//! whatever the worker count.
+//! however the executor schedules the jobs.
 
 use crate::job::Request;
 use crate::pool::Farm;
@@ -107,8 +107,8 @@ impl SweepPlan {
 
     /// Runs the whole grid on `farm` and reduces it to a report with the
     /// Pareto front marked. Results are collected in point order, so the
-    /// report (and its JSONL rendering) does not depend on the farm's
-    /// worker count.
+    /// report (and its JSONL rendering) does not depend on how the jobs
+    /// were scheduled.
     pub fn run(&self, farm: &Farm) -> SweepReport {
         let _span = ape_probe::span("ape.farm.sweep");
         let points = self.points();

@@ -1,15 +1,17 @@
 // Test/harness code: panicking on bad results is the assertion mechanism.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-//! Worker-count independence: the same sweep plan must produce
-//! byte-identical JSONL whether one worker or eight execute it. This holds
-//! because every job runs as a pure function of `(technology, request)` —
-//! the estimation graph's bit-exact memo keys make warm workers answer
-//! exactly as cold ones would — and the report collects results in grid
-//! order.
+//! Schedule independence: a sweep's records are exactly what a direct
+//! `OpAmp::design` on a cold graph gives at each point, however the
+//! executor spread the jobs over its threads and whatever those threads
+//! had memoized before. This holds because every job runs as a pure
+//! function of `(technology, request)` — the estimation graph's bit-exact
+//! memo keys make warm threads answer exactly as cold ones would — and the
+//! report collects results in grid order.
 
 use ape_core::basic::MirrorTopology;
-use ape_core::opamp::OpAmpTopology;
-use ape_farm::{Farm, FarmConfig, SweepPlan};
+use ape_core::graph::reset_thread_graph;
+use ape_core::opamp::{OpAmp, OpAmpSpec, OpAmpTopology};
+use ape_farm::{Farm, FarmConfig, FarmError, SweepMetrics, SweepPlan};
 use ape_netlist::Technology;
 
 fn small_plan() -> SweepPlan {
@@ -27,40 +29,67 @@ fn small_plan() -> SweepPlan {
     }
 }
 
-fn run_with(workers: usize) -> String {
-    let farm = Farm::new(
-        Technology::default_1p2um(),
-        FarmConfig::with_workers(workers),
-    );
+fn run_fresh() -> String {
+    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
     small_plan().run(&farm).to_jsonl()
 }
 
 #[test]
-fn one_and_eight_workers_emit_identical_jsonl() {
-    let serial = run_with(1);
-    let parallel = run_with(8);
+fn sweep_records_equal_cold_direct_designs() {
+    let tech = Technology::default_1p2um();
+    let plan = small_plan();
+    let farm = Farm::new(tech.clone(), FarmConfig::default());
+    let report = plan.run(&farm);
     assert_eq!(
-        serial.lines().count(),
-        small_plan().len(),
-        "one JSONL line per grid point"
+        report.records.len(),
+        plan.len(),
+        "one record per grid point"
     );
-    assert_eq!(serial, parallel, "sweep output depends on the worker count");
-    // The sweep must actually produce designs, not a wall of errors.
-    assert!(
-        serial
-            .lines()
-            .filter(|l| l.contains("\"area_um2\""))
-            .count()
-            >= small_plan().len() / 2,
-        "most grid points should size successfully:\n{serial}"
-    );
-    assert!(
-        serial.contains("\"pareto\":true"),
-        "a non-empty sweep has a non-empty Pareto front"
-    );
+    for record in &report.records {
+        let p = record.point;
+        let spec = OpAmpSpec {
+            gain: p.gain,
+            ugf_hz: p.ugf_hz,
+            area_max_m2: plan.area_max_m2,
+            ibias: plan.ibias_a,
+            zout_ohm: None,
+            cl: p.cl_f,
+        };
+        reset_thread_graph();
+        let expect = OpAmp::design(&tech, p.topology, spec)
+            .map(|amp| {
+                let gain = amp.perf.dc_gain.map(f64::abs).unwrap_or(0.0);
+                SweepMetrics {
+                    area_um2: amp.perf.gate_area_m2 * 1e12,
+                    power_mw: amp.perf.power_w * 1e3,
+                    gain,
+                    gain_err_frac: ((p.gain - gain) / p.gain).max(0.0),
+                    ugf_hz: amp.perf.ugf_hz.unwrap_or(0.0),
+                }
+            })
+            .map_err(|e| FarmError::from(e).to_string());
+        // `{:?}` renders every f64 round-trip exact, so equal strings are
+        // equal bits.
+        assert_eq!(
+            format!("{:?}", record.outcome),
+            format!("{expect:?}"),
+            "point {}",
+            p.index
+        );
+    }
 }
 
 #[test]
-fn repeated_runs_are_reproducible() {
-    assert_eq!(run_with(2), run_with(2));
+fn fresh_farms_emit_identical_jsonl() {
+    let first = run_fresh();
+    assert_eq!(first, run_fresh(), "sweep output depends on the schedule");
+    // The sweep must actually produce designs, not a wall of errors.
+    assert!(
+        first.lines().filter(|l| l.contains("\"area_um2\"")).count() >= small_plan().len() / 2,
+        "most grid points should size successfully:\n{first}"
+    );
+    assert!(
+        first.contains("\"pareto\":true"),
+        "a non-empty sweep has a non-empty Pareto front"
+    );
 }

@@ -1,14 +1,16 @@
 // Test/harness code: panicking on bad results is the assertion mechanism.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! End-to-end behaviour of the farm: real estimator jobs, deduplication,
-//! cancellation, panic isolation, and backpressure.
+//! cancellation, panic isolation, and backpressure. Every test must hold
+//! at any executor size, including none (jobs then run inline in
+//! `submit`), so ordering is forced by gates, never by sleeps alone.
 
 use ape_core::basic::MirrorTopology;
 use ape_core::opamp::{OpAmpSpec, OpAmpTopology};
 use ape_farm::{Farm, FarmConfig, FarmError, Request, Response};
 use ape_netlist::Technology;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 fn spec(gain: f64) -> OpAmpSpec {
     OpAmpSpec {
@@ -30,7 +32,7 @@ fn design(gain: f64) -> Request {
 
 #[test]
 fn opamp_design_end_to_end() {
-    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::with_workers(2));
+    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
     let h = farm.submit(design(200.0));
     let resp = h.wait().expect("design succeeds");
     let amp = resp.as_opamp().expect("opamp response");
@@ -40,37 +42,76 @@ fn opamp_design_end_to_end() {
     assert_eq!(stats.executed, 1);
 }
 
-static SLOW_RUNS: AtomicUsize = AtomicUsize::new(0);
+/// Polls `flag` until set; a job that never sees it gives up after ten
+/// seconds rather than hanging the suite.
+fn wait_for(flag: &AtomicBool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !flag.load(Ordering::SeqCst) {
+        if Instant::now() > deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
 
-fn slow_job(_tech: &Technology) -> Result<Response, FarmError> {
-    SLOW_RUNS.fetch_add(1, Ordering::SeqCst);
-    std::thread::sleep(Duration::from_millis(100));
-    Ok(Response::Text("slow done".into()))
+static GATE_RUNS: AtomicUsize = AtomicUsize::new(0);
+static GATE_OPEN: AtomicBool = AtomicBool::new(false);
+
+fn gated_job(_tech: &Technology) -> Result<Response, FarmError> {
+    GATE_RUNS.fetch_add(1, Ordering::SeqCst);
+    wait_for(&GATE_OPEN);
+    Ok(Response::Text("gated done".into()))
 }
 
 #[test]
 fn identical_submissions_run_once() {
-    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::with_workers(1));
+    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
     let req = Request::Custom {
         label: "dedup-probe",
         nonce: 1,
-        run: slow_job,
+        run: gated_job,
     };
-    let handles: Vec<_> = (0..3).map(|_| farm.submit(req.clone())).collect();
-    for h in &handles {
-        let r = h.wait().expect("shared flight succeeds");
-        assert!(matches!(r, Response::Text(ref s) if s == "slow done"));
-    }
-    // Same key again, after completion: a pure cache hit.
-    farm.submit(req).wait().expect("cache hit succeeds");
-    assert_eq!(SLOW_RUNS.load(Ordering::SeqCst), 1, "one execution total");
+    // Submit from threads: on an executor without worker threads the first
+    // submission runs its job inline, and the duplicates must arrive while
+    // it is still running.
+    std::thread::scope(|s| {
+        let waiters: Vec<_> = (0..3)
+            .map(|_| s.spawn(|| farm.submit(req.clone()).wait()))
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while farm.stats().deduped < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        GATE_OPEN.store(true, Ordering::SeqCst);
+        for w in waiters {
+            let r = w.join().unwrap().expect("shared flight succeeds");
+            assert!(matches!(r, Response::Text(ref s) if s == "gated done"));
+        }
+    });
+    assert_eq!(
+        GATE_RUNS.load(Ordering::SeqCst),
+        1,
+        "one execution in flight"
+    );
     let stats = farm.stats();
-    assert_eq!(stats.submitted, 4);
     assert_eq!(stats.executed, 1);
     assert_eq!(
-        stats.cache_hits + stats.deduped,
-        3,
-        "three submissions shared the first flight: {stats:?}"
+        stats.deduped, 2,
+        "two submissions joined the flight: {stats:?}"
+    );
+    // The farm keeps no finished results: the same key after completion
+    // runs again (repeats are cheap because the estimation graph memoizes).
+    farm.submit(req).wait().expect("resubmission succeeds");
+    assert_eq!(
+        GATE_RUNS.load(Ordering::SeqCst),
+        2,
+        "a finished key runs afresh"
+    );
+    let stats = farm.stats();
+    assert_eq!(
+        (stats.submitted, stats.executed, stats.cache_hits),
+        (4, 2, 0)
     );
 }
 
@@ -80,7 +121,7 @@ fn panicking_job(_tech: &Technology) -> Result<Response, FarmError> {
 
 #[test]
 fn a_panicking_job_fails_alone() {
-    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::with_workers(1));
+    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
     let bad = farm.submit(Request::Custom {
         label: "panics",
         nonce: 2,
@@ -90,7 +131,7 @@ fn a_panicking_job_fails_alone() {
         Err(FarmError::Panicked(msg)) => assert!(msg.contains("deliberate test panic")),
         other => panic!("expected Panicked, got {other:?}"),
     }
-    // The worker survived and keeps serving real jobs.
+    // The executor thread survived and keeps serving real jobs.
     let good = farm.submit(design(150.0));
     assert!(good.wait().is_ok());
     assert_eq!(farm.stats().panicked, 1);
@@ -100,7 +141,7 @@ fn a_panicking_job_fails_alone() {
 fn expired_deadline_cancels_jobs() {
     let cfg = FarmConfig {
         job_timeout: Some(Duration::from_millis(0)),
-        ..FarmConfig::with_workers(1)
+        ..FarmConfig::default()
     };
     let farm = Farm::new(Technology::default_1p2um(), cfg);
     let h = farm.submit(design(300.0));
@@ -108,98 +149,111 @@ fn expired_deadline_cancels_jobs() {
     assert_eq!(farm.stats().cancelled, 1);
 }
 
-#[test]
-fn cancel_all_drains_queued_jobs() {
-    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::with_workers(1));
-    // Occupy the single worker so the design jobs stay queued. Uses its own
-    // job fn: sharing `slow_job` would bump SLOW_RUNS concurrently with
-    // `identical_submissions_run_once` and flake its exact-count assertion.
-    fn blocker_job(_tech: &Technology) -> Result<Response, FarmError> {
-        std::thread::sleep(Duration::from_millis(100));
-        Ok(Response::Text("blocker done".into()))
+/// Runs until its job is cancelled; gives up (successfully) after ten
+/// seconds so a lost cancellation fails the assertion instead of hanging.
+fn until_cancelled_job(_tech: &Technology) -> Result<Response, FarmError> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while Instant::now() < deadline {
+        ape_core::cancel::check_current().map_err(|_| FarmError::Cancelled)?;
+        std::thread::sleep(Duration::from_millis(1));
     }
-    let blocker = farm.submit(Request::Custom {
-        label: "blocker",
-        nonce: 3,
-        run: blocker_job,
+    Ok(Response::Text("never cancelled".into()))
+}
+
+#[test]
+fn cancel_all_reaches_running_and_waiting_jobs() {
+    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
+    std::thread::scope(|s| {
+        // Cancel from another thread: without executor workers the first
+        // job runs inline and holds this thread until it is cancelled.
+        s.spawn(|| {
+            std::thread::sleep(Duration::from_millis(50));
+            farm.cancel_all();
+        });
+        let handles: Vec<_> = (0..4)
+            .map(|i| {
+                farm.submit(Request::Custom {
+                    label: "until-cancelled",
+                    nonce: i,
+                    run: until_cancelled_job,
+                })
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(h.wait().unwrap_err(), FarmError::Cancelled);
+        }
     });
-    let queued: Vec<_> = (0..4)
-        .map(|i| farm.submit(design(100.0 + i as f64)))
-        .collect();
-    farm.cancel_all();
-    for h in queued {
-        assert_eq!(h.wait().unwrap_err(), FarmError::Cancelled);
-    }
-    // The blocker itself had already started; it either finished or was
-    // cancelled depending on timing — both are sound. It must terminate.
-    let _ = blocker.wait();
+    assert_eq!(farm.stats().cancelled, 4);
 }
 
-fn very_slow_job(_tech: &Technology) -> Result<Response, FarmError> {
-    std::thread::sleep(Duration::from_millis(300));
-    Ok(Response::Text("done".into()))
+static HOLD_STARTED: AtomicBool = AtomicBool::new(false);
+static HOLD_RELEASE: AtomicBool = AtomicBool::new(false);
+
+fn held_job(_tech: &Technology) -> Result<Response, FarmError> {
+    HOLD_STARTED.store(true, Ordering::SeqCst);
+    wait_for(&HOLD_RELEASE);
+    Ok(Response::Text("held done".into()))
+}
+
+fn quick_job(_tech: &Technology) -> Result<Response, FarmError> {
+    Ok(Response::Text("quick".into()))
 }
 
 #[test]
-fn try_submit_feels_backpressure() {
+fn admission_bound_gives_backpressure() {
     let cfg = FarmConfig {
         queue_capacity: 1,
-        ..FarmConfig::with_workers(1)
+        ..FarmConfig::default()
     };
     let farm = Farm::new(Technology::default_1p2um(), cfg);
-    // First job: picked up by the worker (sleeps 300 ms).
-    let running = farm.submit(Request::Custom {
+    let held = Request::Custom {
         label: "bp",
         nonce: 10,
-        run: very_slow_job,
-    });
-    // Give the worker time to dequeue it, then fill the single queue slot.
-    std::thread::sleep(Duration::from_millis(50));
-    let queued = farm.submit(Request::Custom {
+        run: held_job,
+    };
+    let quick = |nonce| Request::Custom {
         label: "bp",
-        nonce: 11,
-        run: very_slow_job,
+        nonce,
+        run: quick_job,
+    };
+    std::thread::scope(|s| {
+        // The held job takes the only admission slot until released.
+        let running = s.spawn(|| farm.submit(held.clone()).wait());
+        assert!(wait_for(&HOLD_STARTED), "held job never started");
+        // Distinct request: the farm is full, fail-fast refuses it.
+        let rejected = farm.try_submit(quick(12));
+        assert_eq!(rejected.wait().unwrap_err(), FarmError::QueueFull);
+        assert_eq!(farm.stats().rejected, 1);
+        // A duplicate of the in-flight request needs no admission, so
+        // fail-fast submission shares it even while the farm is full.
+        let shared = farm.try_submit(held.clone());
+        assert!(shared.peek().is_none(), "joined the running flight");
+        // Blocking submission waits for room.
+        let blocked = s.spawn(|| farm.submit(quick(11)).wait());
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!blocked.is_finished(), "blocking submit must wait for room");
+        HOLD_RELEASE.store(true, Ordering::SeqCst);
+        assert!(running.join().unwrap().is_ok());
+        assert!(shared.wait().is_ok());
+        assert!(blocked.join().unwrap().is_ok());
     });
-    // Distinct third request: the queue is full, fail-fast refuses it.
-    let rejected = farm.try_submit(Request::Custom {
-        label: "bp",
-        nonce: 12,
-        run: very_slow_job,
-    });
-    assert_eq!(rejected.wait().unwrap_err(), FarmError::QueueFull);
-    assert_eq!(farm.stats().rejected, 1);
-    // A duplicate of an in-flight request needs no queue slot, so
-    // fail-fast submission shares it even while the queue is full.
-    let shared = farm.try_submit(Request::Custom {
-        label: "bp",
-        nonce: 10,
-        run: very_slow_job,
-    });
-    assert!(shared.wait().is_ok());
-    assert!(running.wait().is_ok());
-    assert!(queued.wait().is_ok());
-    // QueueFull was not sticky: the same request succeeds once room exists.
-    let retried = farm.try_submit(Request::Custom {
-        label: "bp",
-        nonce: 12,
-        run: very_slow_job,
-    });
-    assert!(retried.wait().is_ok());
+    // QueueFull was not sticky: the same request succeeds once room exists
+    // (a job frees its slot before its waiters wake).
+    assert!(farm.try_submit(quick(12)).wait().is_ok());
 }
 
 #[test]
 fn shutdown_rejects_new_submissions() {
-    let mut farm = Farm::new(Technology::default_1p2um(), FarmConfig::with_workers(1));
+    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
     farm.shutdown();
     let h = farm.submit(design(120.0));
     assert_eq!(h.wait().unwrap_err(), FarmError::ShuttingDown);
 }
 
-/// Netlist-estimation jobs exercise the SPICE sparse solver; with
-/// `isolate_solver_cache` set (the default) every job starts with a cold
-/// symbolic-factorisation cache, so each distinct job re-analyses its
-/// pattern — visible as cache misses — and the farm exposes the counters
-/// through `solver_cache_report()`.
+/// Netlist-estimation jobs exercise the SPICE sparse solver; every job
+/// starts with a cold symbolic-factorisation cache, so each distinct job
+/// re-analyses its pattern — visible as cache misses — and the farm
+/// exposes the counters through `solver_cache_report()`.
 #[test]
 fn netlist_jobs_reset_solver_cache_and_report_it() {
     use ape_netlist::{Circuit, SourceWaveform};
@@ -219,7 +273,7 @@ fn netlist_jobs_reset_solver_cache_and_report_it() {
         Box::new(c)
     }
 
-    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::with_workers(1));
+    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
     let (_, misses_before, _) = ape_spice::symbolic_cache_stats();
     for r in [1e3, 2e3] {
         let circuit = ladder(r);
@@ -233,7 +287,7 @@ fn netlist_jobs_reset_solver_cache_and_report_it() {
     let (_, misses_after, _) = ape_spice::symbolic_cache_stats();
     assert!(
         misses_after >= misses_before + 2,
-        "each isolated job should re-analyse: {misses_before} -> {misses_after}"
+        "each job should re-analyse: {misses_before} -> {misses_after}"
     );
     let report = farm.solver_cache_report();
     assert!(
@@ -242,43 +296,35 @@ fn netlist_jobs_reset_solver_cache_and_report_it() {
     );
 }
 
-/// Regression: a panicking job must not poison the single-flight cache.
-/// Its waiters (the owner and every deduplicated submission) all receive
-/// `Panicked`, and the *next* submission of the same key re-owns the entry
-/// and can succeed — at one worker and at eight.
+/// Regression: a panicking job must not poison its key. Its waiters (the
+/// owner and every deduplicated submission) all receive `Panicked`, and the
+/// *next* submission of the same key runs afresh and can succeed.
 #[test]
 fn panicking_job_does_not_poison_the_cache() {
-    for workers in [1usize, 8] {
-        let farm = Farm::new(
-            Technology::default_1p2um(),
-            FarmConfig::with_workers(workers),
-        );
-        let req = Request::Custom {
-            label: "panic-then-recover",
-            nonce: 77,
-            run: panicking_job,
-        };
-        let handles: Vec<_> = (0..4).map(|_| farm.submit(req.clone())).collect();
-        for h in handles {
-            match h.wait() {
-                Err(FarmError::Panicked(_)) => {}
-                other => panic!("expected Panicked at {workers} workers, got {other:?}"),
-            }
+    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
+    let req = Request::Custom {
+        label: "panic-then-recover",
+        nonce: 77,
+        run: panicking_job,
+    };
+    let handles: Vec<_> = (0..4).map(|_| farm.submit(req.clone())).collect();
+    for h in handles {
+        match h.wait() {
+            Err(FarmError::Panicked(_)) => {}
+            other => panic!("expected Panicked, got {other:?}"),
         }
-        // The failed flight is reclaimed: an honest job under the same key
-        // runs and succeeds instead of being served the stale panic.
-        fn honest_job(_tech: &Technology) -> Result<Response, FarmError> {
-            Ok(Response::Text("recovered".into()))
-        }
-        let again = farm.submit(Request::Custom {
-            label: "panic-then-recover",
-            nonce: 77,
-            run: honest_job,
-        });
-        match again.wait() {
-            Ok(Response::Text(s)) => assert_eq!(s, "recovered"),
-            other => panic!("expected recovery at {workers} workers, got {other:?}"),
-        }
-        assert!(farm.stats().panicked >= 1);
     }
+    fn honest_job(_tech: &Technology) -> Result<Response, FarmError> {
+        Ok(Response::Text("recovered".into()))
+    }
+    let again = farm.submit(Request::Custom {
+        label: "panic-then-recover",
+        nonce: 77,
+        run: honest_job,
+    });
+    match again.wait() {
+        Ok(Response::Text(s)) => assert_eq!(s, "recovered"),
+        other => panic!("expected recovery, got {other:?}"),
+    }
+    assert!(farm.stats().panicked >= 1);
 }

@@ -43,7 +43,5 @@ fn result_types_are_thread_safe_plain_data() {
 fn farm_machinery_is_shareable_across_threads() {
     assert_shareable::<ape_farm::Farm>();
     assert_shareable::<ape_farm::JobHandle>();
-    assert_shareable::<ape_farm::ResultCache>();
-    assert_shareable::<ape_farm::BoundedQueue<ape_farm::Request>>();
     assert_shareable::<ape_core::cancel::CancelToken>();
 }

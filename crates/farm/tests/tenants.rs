@@ -30,7 +30,7 @@ fn design(gain: f64) -> Request {
 
 #[test]
 fn tenant_technology_selects_the_registered_card() {
-    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::with_workers(2));
+    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
     let other = Technology::default_0p5um();
     let fp = farm.register_technology(other.clone());
     assert_eq!(fp, other.fingerprint());
@@ -70,7 +70,7 @@ fn tenant_technology_selects_the_registered_card() {
 
 #[test]
 fn unknown_technology_resolves_immediately_without_touching_the_cache() {
-    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::with_workers(1));
+    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
     let h = farm.submit_opts(
         design(200.0),
         SubmitOptions {
@@ -90,13 +90,13 @@ fn unknown_technology_resolves_immediately_without_touching_the_cache() {
     assert_eq!(farm.stats().executed, 0);
 
     // An honest submission of the same request afterwards succeeds: the
-    // rejected one never claimed the key.
+    // rejected one never joined a flight.
     assert!(farm.submit(design(200.0)).wait().is_ok());
 }
 
 #[test]
 fn caller_owned_token_cancels_the_job() {
-    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::with_workers(1));
+    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
     let token = CancelToken::new();
     token.cancel();
     let h = farm.submit_opts(
@@ -121,7 +121,7 @@ fn per_submission_deadline_expires_a_stuck_job() {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
-    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::with_workers(1));
+    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
     let h = farm.submit_opts(
         Request::Custom {
             label: "deadline-probe",
@@ -136,24 +136,21 @@ fn per_submission_deadline_expires_a_stuck_job() {
     assert!(matches!(h.wait(), Err(FarmError::Cancelled)));
 }
 
-/// The satellite regression: with the shared graph enabled, a pool of
-/// workers does NOT each pay the same cold evaluations — a subtree computed
-/// once is read through by every other worker, and results stay
-/// bit-identical to direct, isolated designs.
+/// With the shared graph enabled, a subtree computed on one thread is
+/// served to every other. Checked by construction rather than by
+/// scheduling: after the farm has answered, this thread attaches a fresh
+/// graph to the farm's store and designs a spec the farm already answered.
+/// The local miss must be a shared hit, and every answer must be
+/// bit-identical to a direct design on a cold, isolated graph.
 #[test]
 fn shared_graph_skips_redundant_worker_warmup() {
     let config = FarmConfig {
         shared_graph: true,
-        // Reset local graphs per job so *every* job leans on the shared
-        // store — the harshest setting for the read-through path.
-        isolate_sizing_cache: true,
-        ..FarmConfig::with_workers(4)
+        ..FarmConfig::default()
     };
     let farm = Farm::new(Technology::default_1p2um(), config);
     let store = farm.shared_memo().expect("shared graph enabled").clone();
 
-    // Distinct specs (no farm-level dedup) over a shared topology: the L1
-    // sizing solves and bias subtrees overlap across jobs.
     let gains: Vec<f64> = (0..16).map(|i| 150.0 + 10.0 * f64::from(i)).collect();
     let handles: Vec<_> = gains.iter().map(|&g| farm.submit(design(g))).collect();
     let results: Vec<String> = handles
@@ -165,16 +162,11 @@ fn shared_graph_skips_redundant_worker_warmup() {
             )
         })
         .collect();
+    assert!(store.stats().inserts > 0);
 
-    let stats = store.stats();
-    assert!(
-        stats.hits > 0,
-        "workers must share subtrees through the store: {stats:?}"
-    );
-    assert!(stats.inserts > 0);
-
-    // Bit-identical to direct designs on a cold, isolated thread graph.
-    ape_core::graph::reset_thread_graph();
+    // Bit-identical to direct designs on a cold, isolated thread graph
+    // (setting the attachment starts a fresh one).
+    ape_core::graph::set_thread_shared_memo(None);
     for (g, farm_result) in gains.iter().zip(&results) {
         let direct = OpAmp::design(
             farm.technology(),
@@ -185,11 +177,29 @@ fn shared_graph_skips_redundant_worker_warmup() {
         assert_eq!(farm_result, &format!("{direct:?}"), "gain {g}");
     }
 
+    // A fresh graph on the farm's store finds the farm's answer there: the
+    // top-level lookup hits, so nothing is computed and nothing misses.
+    ape_core::graph::set_thread_shared_memo(Some(store.clone()));
+    let before = store.stats();
+    let again = OpAmp::design(
+        farm.technology(),
+        OpAmpTopology::miller(MirrorTopology::Simple, false),
+        spec(gains[0]),
+    )
+    .expect("design through the shared store");
+    ape_core::graph::set_thread_shared_memo(None);
+    let after = store.stats();
+    assert!(
+        after.hits > before.hits && after.misses == before.misses,
+        "the farm's answer must be served from the shared store: {before:?} -> {after:?}"
+    );
+    assert_eq!(format!("{again:?}"), results[0]);
+
     assert!(farm.report().contains("shared memo"));
 }
 
 #[test]
 fn shared_graph_default_off() {
-    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::with_workers(1));
+    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
     assert!(farm.shared_memo().is_none());
 }

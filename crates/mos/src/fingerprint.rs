@@ -3,7 +3,7 @@
 //!
 //! Two subsystems used to build cache keys independently: the level-1
 //! sizing cache in `ape-core` (quantised `f64` buckets hashed ad hoc) and
-//! the farm's content-addressed result cache (`DefaultHasher` over request
+//! the farm's content-addressed job keys (`DefaultHasher` over request
 //! payloads). This module is the single shared encoding both now use, so a
 //! key built in one crate is bit-for-bit the key built in the other for
 //! the same logical inputs.

@@ -1,7 +1,7 @@
 //! The `ape-serve` daemon binary.
 //!
 //! ```text
-//! ape-serve [--addr HOST:PORT] [--workers N] [--queue N]
+//! ape-serve [--addr HOST:PORT] [--queue N]
 //!           [--max-connections N] [--inflight N] [--deadline-ms N]
 //!           [--tech 1p2um|0p5um] [--no-shared-graph] [--no-remote-shutdown]
 //!           [--stdio]
@@ -31,7 +31,6 @@ fn main() {
         };
         match arg.as_str() {
             "--addr" => addr = take("HOST:PORT"),
-            "--workers" => config.workers = parse_num(&take("N")),
             "--queue" => config.queue_capacity = parse_num(&take("N")),
             "--max-connections" => config.max_connections = parse_num(&take("N")),
             "--inflight" => config.inflight_per_conn = parse_num(&take("N")),
@@ -45,7 +44,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "ape-serve: persistent estimation daemon (NDJSON over TCP)\n\
-                     options: --addr HOST:PORT  --workers N  --queue N\n\
+                     options: --addr HOST:PORT  --queue N\n\
                      \x20        --max-connections N  --inflight N  --deadline-ms N\n\
                      \x20        --tech 1p2um|0p5um  --no-shared-graph\n\
                      \x20        --no-remote-shutdown  --stdio"
@@ -68,12 +67,10 @@ fn main() {
         }
     };
 
-    if config.workers <= 1 {
+    if std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) <= 1 {
         eprintln!(
-            "ape-serve: WARNING: running with {} worker(s) — detected parallelism is 1, \
-             so concurrent requests serialize; throughput numbers from this box do not \
-             demonstrate scaling",
-            config.workers.max(1)
+            "ape-serve: WARNING: detected parallelism is 1, so concurrent requests \
+             serialize; throughput numbers from this box do not demonstrate scaling"
         );
     }
 

@@ -9,7 +9,7 @@
 //! 1. **connection budget** — each connection may have at most
 //!    [`ServerConfig::inflight_per_conn`] farm-backed requests in flight;
 //!    excess requests fail fast with `overloaded` (429).
-//! 2. **farm queue** — submissions are fail-fast: a full queue answers
+//! 2. **farm admission** — submissions are fail-fast: a full farm answers
 //!    `overloaded` (429) instead of blocking the connection's reader.
 //! 3. **deadline** — `deadline_ms` (or the server default) becomes a timed
 //!    cancellation token; expiry surfaces as `deadline_exceeded` (504).
@@ -17,6 +17,12 @@
 //! Cancellation is a tree: server root → connection → request. Client
 //! disconnect cancels the connection token, which abandons every job the
 //! connection still has in flight at the estimator's next checkpoint.
+//!
+//! The reader never runs a job. On an executor with no worker threads (a
+//! one-core host) a farm submission runs its job inline, so there the
+//! connection's completion thread submits each request just before
+//! waiting on it, and the reader stays free to read `cancel` ops and
+//! notice a disconnect.
 
 use crate::json::{obj, s, Value};
 use crate::proto::{
@@ -36,9 +42,7 @@ use std::time::{Duration, Instant};
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Farm worker threads. Defaults to available parallelism.
-    pub workers: usize,
-    /// Farm queue capacity (gate 2 of admission control).
+    /// Farm admission bound (gate 2 of admission control).
     pub queue_capacity: usize,
     /// Maximum concurrent connections; excess accepts are closed
     /// immediately after a `shutting_down`-style error line.
@@ -56,20 +60,11 @@ pub struct ServerConfig {
     /// [`FarmConfig::shared_graph`]). On by default: it is the point of a
     /// resident daemon.
     pub shared_graph: bool,
-    /// Reset each worker's thread-local sizing graph between jobs so every
-    /// request reads through the shared store. Off by default (local memos
-    /// are faster); equivalence tests turn it on to make cross-connection
-    /// shared-graph traffic deterministic rather than
-    /// scheduling-dependent.
-    pub isolate_sizing: bool,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            workers: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
             queue_capacity: 256,
             max_connections: 64,
             inflight_per_conn: 32,
@@ -77,7 +72,6 @@ impl Default for ServerConfig {
             max_line_bytes: DEFAULT_MAX_LINE,
             allow_remote_shutdown: true,
             shared_graph: true,
-            isolate_sizing: false,
         }
     }
 }
@@ -114,11 +108,8 @@ impl std::fmt::Debug for ServerState {
 impl ServerState {
     fn new(tech: Technology, config: ServerConfig) -> Arc<ServerState> {
         let farm_config = FarmConfig {
-            workers: config.workers,
             queue_capacity: config.queue_capacity,
             job_timeout: None,
-            isolate_sizing_cache: config.isolate_sizing,
-            isolate_solver_cache: true,
             shared_graph: config.shared_graph,
         };
         Arc::new(ServerState {
@@ -502,10 +493,18 @@ fn serve_http<R: Read>(
     );
 }
 
+/// A farm-backed request on its way to the completion thread.
+enum Job {
+    /// Submitted by the reader; it runs on the executor's workers.
+    Submitted(JobHandle),
+    /// Submitted by the completion thread, because the submission would
+    /// run the job inline (see the module docs).
+    Deferred(Box<Request>, SubmitOptions),
+}
+
 /// Metadata for one farm-backed request awaiting completion.
 struct Pending {
     id: u64,
-    handle: JobHandle,
     started: Instant,
     deadline: Option<Instant>,
     /// Set by an explicit `cancel` op, to disambiguate `cancelled` from
@@ -546,7 +545,7 @@ fn serve_ndjson<R: Read, W: Write + Send + 'static>(
     // Completion thread: waits farm-backed requests FIFO and writes their
     // responses. Immediate ops answer from the reader thread; the writer
     // mutex keeps lines atomic.
-    let (tx, rx) = mpsc::channel::<Pending>();
+    let (tx, rx) = mpsc::channel::<(Job, Pending)>();
     let completion = {
         let conn = conn.clone();
         let state = state.clone();
@@ -554,8 +553,12 @@ fn serve_ndjson<R: Read, W: Write + Send + 'static>(
         std::thread::Builder::new()
             .name("ape-serve-complete".to_string())
             .spawn(move || {
-                while let Ok(p) = rx.recv() {
-                    let outcome = p.handle.wait();
+                while let Ok((job, p)) = rx.recv() {
+                    let handle = match job {
+                        Job::Submitted(handle) => handle,
+                        Job::Deferred(req, opts) => state.farm.submit_opts(*req, opts),
+                    };
+                    let outcome = handle.wait();
                     latency.record(p.started.elapsed().as_nanos() as f64);
                     conn.inflight.fetch_sub(1, Ordering::SeqCst);
                     conn.cancel_map
@@ -641,7 +644,7 @@ fn dispatch<W: Write>(
     state: &Arc<ServerState>,
     conn: &Arc<ConnShared<W>>,
     conn_token: &CancelToken,
-    tx: &mpsc::Sender<Pending>,
+    tx: &mpsc::Sender<(Job, Pending)>,
     id: u64,
     req: WireRequest,
 ) -> bool {
@@ -731,8 +734,8 @@ fn dispatch<W: Write>(
             calibration,
             deadline_ms,
         } => {
-            // Parse on the connection thread: a bad deck never occupies a
-            // worker or a queue slot.
+            // Parse on the connection thread: a bad deck never occupies an
+            // executor thread or an admission slot.
             let (circuit, _deck_tech) = match parse_spice(&deck) {
                 Ok(parsed) => parsed,
                 Err(e) => {
@@ -775,7 +778,7 @@ fn submit_job<W: Write>(
     state: &Arc<ServerState>,
     conn: &Arc<ConnShared<W>>,
     conn_token: &CancelToken,
-    tx: &mpsc::Sender<Pending>,
+    tx: &mpsc::Sender<(Job, Pending)>,
     id: u64,
     req: Request,
     technology: Option<u64>,
@@ -799,7 +802,11 @@ fn submit_job<W: Write>(
     let deadline = deadline_ms
         .map(Duration::from_millis)
         .or(state.config.default_deadline);
-    let token = conn_token.child();
+    // The deadline runs from arrival, whichever thread submits.
+    let token = match deadline {
+        Some(d) => conn_token.child_with_timeout(d),
+        None => conn_token.child(),
+    };
     let cancelled_explicitly = Arc::new(AtomicBool::new(false));
     conn.cancel_map
         .lock()
@@ -807,25 +814,26 @@ fn submit_job<W: Write>(
         .insert(id, (token.clone(), cancelled_explicitly.clone()));
 
     // Gate 2: fail-fast farm submission.
-    let handle = state.farm.submit_opts(
-        req,
-        SubmitOptions {
-            technology,
-            calibration,
-            token: Some(token),
-            deadline,
-            fail_fast: true,
-        },
-    );
+    let opts = SubmitOptions {
+        technology,
+        calibration,
+        token: Some(token),
+        deadline: None,
+        fail_fast: true,
+    };
+    let job = if state.farm.submits_inline() {
+        Job::Deferred(Box::new(req), opts)
+    } else {
+        Job::Submitted(state.farm.submit_opts(req, opts))
+    };
     conn.inflight.fetch_add(1, Ordering::SeqCst);
     let pending = Pending {
         id,
-        handle,
         started: Instant::now(),
         deadline: deadline.map(|d| Instant::now() + d),
         cancelled_explicitly,
     };
-    if tx.send(pending).is_err() {
+    if tx.send((job, pending)).is_err() {
         // Completion thread is gone (connection tearing down).
         conn.inflight.fetch_sub(1, Ordering::SeqCst);
     }

@@ -67,7 +67,8 @@ pub use error::SpiceError;
 pub use linearize::{linearize, LinearizedSystem};
 pub use mna::Unknowns;
 pub use sparse::{
-    alloc_events, reset_symbolic_cache, symbolic_cache_report, symbolic_cache_stats, Backend,
+    alloc_events, reset_symbolic_cache, symbolic_cache_report, symbolic_cache_stats,
+    with_fresh_symbolic_cache, Backend,
 };
 pub use sweep::{dc_sweep, dc_sweep_with, DcSweep};
 pub use tran::{transient, TranOptions, Transient};

@@ -22,8 +22,8 @@
 //! audits, `ape-farm` batch jobs — skip the symbolic step entirely. The
 //! cache is resettable ([`reset_symbolic_cache`]) because a cached pivot
 //! order makes results depend (at rounding level) on which bias point
-//! built it; `ape-farm` resets it per job in deterministic mode, exactly
-//! like the sizing cache.
+//! built it; `ape-farm` runs every job against an empty cache
+//! ([`with_fresh_symbolic_cache`]).
 //!
 //! Steady-state operation (refactor + solve) performs **zero heap
 //! allocations**; every allocation inside this module bumps a global
@@ -79,8 +79,18 @@ pub fn alloc_events() -> u64 {
     ALLOC_EVENTS.load(Ordering::Relaxed)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// This thread's share of [`ALLOC_EVENTS`]: unit tests run in parallel
+    /// threads of one process, so an assertion on the global counter could
+    /// be moved by another test's solves.
+    static THREAD_ALLOC_EVENTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 fn note_alloc() {
     ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    THREAD_ALLOC_EVENTS.with(|n| n.set(n.get() + 1));
     ape_probe::counter("spice.solve.allocs", 1);
 }
 
@@ -541,10 +551,26 @@ fn cache_insert(key: u64, sym: Arc<Symbolic>) {
 ///
 /// A cached pivot order is a function of the bias point that built it, so
 /// carrying it across independent jobs makes results depend (at rounding
-/// level) on job scheduling. Deterministic batch drivers (`ape-farm`) call
-/// this per job, mirroring the sizing-cache isolation.
+/// level) on job scheduling. Batch drivers that must not disturb the
+/// calling thread's cache use [`with_fresh_symbolic_cache`] instead.
 pub fn reset_symbolic_cache() {
     SYM_CACHE.with(|c| c.borrow_mut().clear());
+}
+
+/// Runs `f` against an empty symbolic cache on this thread, then puts the
+/// thread's own cache back — also when `f` unwinds. Batch drivers
+/// (`ape-farm`) wrap each job in this, so a job's pivot orders are its own
+/// and whatever else runs on the thread keeps its warm cache.
+pub fn with_fresh_symbolic_cache<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(HashMap<u64, Arc<Symbolic>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let saved = std::mem::take(&mut self.0);
+            SYM_CACHE.with(|c| *c.borrow_mut() = saved);
+        }
+    }
+    let _restore = Restore(SYM_CACHE.with(|c| std::mem::take(&mut *c.borrow_mut())));
+    f()
 }
 
 /// Cumulative symbolic-cache statistics across all threads:
@@ -897,12 +923,12 @@ mod tests {
                 assert!((a - bb).abs() < 1e-8, "{a} vs {bb}");
             }
             x.clear();
+            let allocs = THREAD_ALLOC_EVENTS.with(std::cell::Cell::get);
             if round == 0 {
-                baseline = alloc_events();
+                baseline = allocs;
             } else {
                 assert_eq!(
-                    alloc_events(),
-                    baseline,
+                    allocs, baseline,
                     "steady-state refactor+solve must not allocate"
                 );
             }
@@ -976,5 +1002,41 @@ mod tests {
         f2.factor(&m).unwrap();
         let (h1, _, _) = symbolic_cache_stats();
         assert!(h1 > h0, "second factor should hit the symbolic cache");
+    }
+
+    #[test]
+    fn fresh_symbolic_cache_is_empty_and_puts_the_thread_cache_back() {
+        let ring = |n: usize| {
+            let mut pb = PatternBuilder::new(n);
+            for r in 0..n {
+                pb.add(r, r);
+                pb.add(r, (r + 1) % n);
+                pb.add((r + 1) % n, r);
+            }
+            let mut m: SparseMatrix<f64> = SparseMatrix::new(pb.build());
+            for r in 0..n {
+                m.stamp(r, r, 4.0);
+                m.stamp(r, (r + 1) % n, 1.0);
+                m.stamp((r + 1) % n, r, 1.0);
+            }
+            m
+        };
+        let keys = || {
+            let mut k: Vec<u64> = SYM_CACHE.with(|c| c.borrow().keys().copied().collect());
+            k.sort_unstable();
+            k
+        };
+        reset_symbolic_cache();
+        SparseFactor::new().factor(&ring(12)).unwrap();
+        let outside = keys();
+        assert_eq!(outside.len(), 1);
+        let inside = with_fresh_symbolic_cache(|| {
+            assert!(keys().is_empty(), "the job starts with an empty cache");
+            SparseFactor::new().factor(&ring(13)).unwrap();
+            keys()
+        });
+        assert_eq!(inside.len(), 1);
+        assert_ne!(inside, outside);
+        assert_eq!(keys(), outside, "the thread's own cache is put back");
     }
 }

@@ -4,8 +4,9 @@
 //! reduce them to an area/power/gain-error Pareto front.
 //!
 //! The grid is 4 gains × 4 UGFs × 3 loads × 3 topologies; the farm runs
-//! it on a bounded-queue worker pool with a single-flight result cache,
-//! then the report streams as JSON Lines (stdout unless a path is given).
+//! it on the shared executor with bounded admission and in-flight
+//! deduplication, then the report streams as JSON Lines (stdout unless a
+//! path is given).
 //!
 //! Run with `cargo run --release --example batch_sweep [-- output.jsonl]`.
 //! Set `APE_TRACE=summary` to see the farm's probe counters and spans.
@@ -17,17 +18,11 @@ use std::io::Write as _;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _trace = ape_repro::probe::install_from_env();
     let tech = Technology::default_1p2um();
-    let config = FarmConfig::default();
-    let workers = config.workers;
     let plan = SweepPlan::example();
-    eprintln!(
-        "sweeping {} design points on {} worker(s) ...",
-        plan.len(),
-        workers
-    );
+    eprintln!("sweeping {} design points ...", plan.len());
 
     let t0 = std::time::Instant::now();
-    let farm = Farm::new(tech, config);
+    let farm = Farm::new(tech, FarmConfig::default());
     let report = plan.run(&farm);
     let elapsed = t0.elapsed();
 

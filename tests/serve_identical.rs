@@ -2,15 +2,17 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! The daemon's contract: answers over the wire are **bit-identical** to
 //! calling `OpAmp::design` directly — same floats, same rendering — and
-//! the shared estimation graph actually carries traffic *across
-//! connections* (hit rate > 0), so a resident daemon is a cache, not just
-//! a socket in front of the library.
+//! what the daemon computed lands in its shared estimation graph, where
+//! any other thread finds it, so a resident daemon is a cache, not just a
+//! socket in front of the library.
 //!
-//! The server runs with `isolate_sizing: true` so every request reads
-//! through the shared store: cross-connection hits become deterministic
-//! instead of depending on which worker happened to warm its local graph.
+//! The shared-store check is by construction, not by scheduling: after the
+//! daemon has answered, the test thread attaches a fresh graph to the
+//! daemon's store and designs a spec the daemon already answered. Which
+//! executor thread ran which request never matters.
 
 use ape_repro::ape::basic::MirrorTopology;
+use ape_repro::ape::graph::set_thread_shared_memo;
 use ape_repro::ape::opamp::{OpAmp, OpAmpSpec, OpAmpTopology};
 use ape_repro::netlist::Technology;
 use ape_repro::serve::json::{n, obj, s, Value};
@@ -49,9 +51,7 @@ fn design_fields(gain: f64, cl: f64) -> Value {
 fn daemon_results_are_bit_identical_and_shared_across_connections() {
     let tech = Technology::default_1p2um();
     let config = ServerConfig {
-        workers: 2,
         shared_graph: true,
-        isolate_sizing: true,
         ..ServerConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", tech.clone(), config).expect("bind");
@@ -68,8 +68,7 @@ fn daemon_results_are_bit_identical_and_shared_across_connections() {
     }
 
     // Connection 2: same gains, different load — shares every diff-pair
-    // subtree with connection 1's requests, so with per-job sizing
-    // isolation the shared store *must* serve hits across connections.
+    // subtree with connection 1's requests.
     let mut conn2 = Client::connect(addr).expect("conn2");
     for &(gain, _) in &grid {
         let reply = conn2
@@ -90,22 +89,44 @@ fn daemon_results_are_bit_identical_and_shared_across_connections() {
         );
     }
 
-    // Shared-graph traffic crossed connections.
+    // The daemon's answers are in its shared store: a fresh graph on this
+    // thread, attached to the store, is served the first request from
+    // there — the top-level lookup hits, so nothing is computed and
+    // nothing misses — bit-identical to the wire answer.
+    let store = handle
+        .state()
+        .farm()
+        .shared_memo()
+        .expect("shared graph enabled")
+        .clone();
+    let before = store.stats();
+    set_thread_shared_memo(Some(store.clone()));
+    let (gain, cl, value) = &wire[0];
+    let again = OpAmp::design(&tech, topo, spec(*gain, *cl)).expect("design via the store");
+    set_thread_shared_memo(None);
+    let after = store.stats();
+    assert!(
+        after.hits > before.hits && after.misses == before.misses,
+        "the daemon's answer was not in its shared store: {before:?} -> {after:?}"
+    );
+    assert_eq!(value.render(), design_result(&again).render());
+
+    // The wire `stats` op reports the store's own counters (the daemon is
+    // idle, so they have not moved since the lookup above).
     let stats = conn2
         .call("stats", obj([]))
         .expect("stats")
         .outcome
         .expect("ok");
-    let hits = stats
-        .get("shared_graph")
-        .and_then(|g| g.get("hits"))
-        .and_then(Value::as_f64)
-        .expect("shared_graph.hits in stats");
-    assert!(
-        hits > 0.0,
-        "no shared-graph hits across connections (stats: {})",
-        stats.render()
-    );
+    let counter = |name: &str| {
+        stats
+            .get("shared_graph")
+            .and_then(|g| g.get(name))
+            .and_then(Value::as_f64)
+            .unwrap_or_else(|| panic!("shared_graph.{name} in stats"))
+    };
+    assert_eq!(counter("hits"), after.hits as f64, "{}", stats.render());
+    assert_eq!(counter("misses"), after.misses as f64, "{}", stats.render());
 
     handle.stop();
 }
@@ -118,10 +139,7 @@ fn registered_tenant_answers_match_direct_design_on_that_card() {
     let server = Server::bind(
         "127.0.0.1:0",
         Technology::default_1p2um(),
-        ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .expect("bind");
     let handle = server.spawn().expect("spawn");
