@@ -66,20 +66,6 @@ pub enum Schedule {
     },
 }
 
-impl Schedule {
-    /// A geometric schedule scaled to an initial cost magnitude: starts hot
-    /// enough to accept almost everything, cools at 0.92.
-    pub fn geometric_auto(initial_cost: f64, moves_per_temp: usize) -> Self {
-        let scale = initial_cost.abs().max(1.0);
-        Schedule::Geometric {
-            t0: scale,
-            alpha: 0.92,
-            moves_per_temp,
-            t_min: scale * 1e-7,
-        }
-    }
-}
-
 /// Options for an annealing run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnealOptions {
@@ -786,15 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn geometric_auto_scales_to_cost() {
-        let s = Schedule::geometric_auto(5000.0, 10);
-        match s {
-            Schedule::Geometric { t0, .. } => assert_eq!(t0, 5000.0),
-            _ => panic!("wrong schedule"),
-        }
-    }
-
-    #[test]
     fn narrow_intervals_converge_faster() {
         // The paper's core claim in miniature: under an equal, modest eval
         // budget, an APE-style ±20 % interval around the optimum reaches a
@@ -805,8 +782,14 @@ mod tests {
         let seeded = VectorRanges::around(&[3.1, 3.1, 3.1, 3.1], 0.2, &blind).unwrap();
         let cost = |s: &Vec<f64>| s.iter().map(|x| (x - 3.0) * (x - 3.0)).sum::<f64>();
         let run = |ranges: &VectorRanges, seed: u64| {
+            let scale = cost(&ranges.center()).max(1.0);
             let opts = AnnealOptions {
-                schedule: Schedule::geometric_auto(cost(&ranges.center()), 50),
+                schedule: Schedule::Geometric {
+                    t0: scale,
+                    alpha: 0.92,
+                    moves_per_temp: 50,
+                    t_min: scale * 1e-7,
+                },
                 max_evals: 10_000,
                 seed,
                 target_cost: f64::NEG_INFINITY,

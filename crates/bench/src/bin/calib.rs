@@ -12,14 +12,14 @@
 //! Usage: `cargo run --release -p ape-bench --bin calib [-- --smoke]`
 //! (`--smoke` runs a single Table 3 op-amp instead of all four).
 
-use ape_bench::report::{latency_section, BENCH_SCHEMA};
+use ape_bench::report::{latency_section, write_bench};
 use ape_bench::rows::{table2_rows, table3_row, table5_ape_rows, ComponentRow};
 use ape_bench::{fmt_val, render_table};
+use ape_calib::json::{n, obj, s, Value};
 use ape_calib::{fit, Sample};
 use ape_core::graph::set_thread_calibration;
 use ape_netlist::Technology;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -231,46 +231,35 @@ fn main() {
     );
 
     // Machine-readable summary.
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": {BENCH_SCHEMA},");
-    let _ = writeln!(out, "  \"technology\": \"{tfp:#018x}\",");
-    let _ = writeln!(out, "  \"calibration\": \"{cal_fp:#018x}\",");
-    let _ = writeln!(out, "  \"corrections\": {corrections},");
-    let _ = writeln!(out, "  \"samples\": {},", uo.n);
-    let _ = writeln!(
-        out,
-        "  \"uncalibrated\": {{\"max_rel_err\": {:.6}, \"mean_rel_err\": {:.6}}},",
-        uo.max,
-        uo.mean()
-    );
-    let _ = writeln!(
-        out,
-        "  \"calibrated\": {{\"max_rel_err\": {:.6}, \"mean_rel_err\": {:.6}}},",
-        co.max,
-        co.mean()
-    );
-    out.push_str("  \"spread\": {");
-    for (i, (key, u)) in uncal.iter().enumerate() {
-        let c = cal.get(key).cloned().unwrap_or_default();
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(
-            out,
-            "\"{key}\": {{\"uncal_max_rel_err\": {:.6}, \"cal_max_rel_err\": {:.6}}}",
-            u.max, c.max
-        );
-    }
-    out.push_str("},\n");
-    let _ = writeln!(
-        out,
-        "  {}",
-        latency_section(&[("fit", &fit_hist.snapshot())])
-    );
-    out.push_str("}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_calib.json", &out).expect("write BENCH_calib.json");
-    println!("wrote results/BENCH_calib.json");
+    let spread = uncal
+        .iter()
+        .map(|(key, u)| {
+            let c = cal.get(key).cloned().unwrap_or_default();
+            let pair = obj([
+                ("uncal_max_rel_err", n(u.max)),
+                ("cal_max_rel_err", n(c.max)),
+            ]);
+            (key.clone(), pair)
+        })
+        .collect();
+    let errors = |o: &Spread| obj([("max_rel_err", n(o.max)), ("mean_rel_err", n(o.mean()))]);
+    write_bench(
+        "calib",
+        obj([
+            ("technology", s(&format!("{tfp:#018x}"))),
+            ("calibration", s(&format!("{cal_fp:#018x}"))),
+            ("corrections", n(corrections as f64)),
+            ("samples", n(uo.n as f64)),
+            ("uncalibrated", errors(&uo)),
+            ("calibrated", errors(&co)),
+            ("spread", Value::Obj(spread)),
+            (
+                "latency_ns",
+                latency_section(&[("fit", &fit_hist.snapshot())]),
+            ),
+        ]),
+    )
+    .expect("write BENCH_calib.json");
     ape_probe::finish();
 
     // Gate: the calibrated table must strictly tighten the overall max

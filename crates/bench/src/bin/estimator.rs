@@ -17,15 +17,18 @@
 //! `APE_TRACE=summary` to see the per-node `ape.graph.<kind>.*` hit/miss
 //! counters.
 
-use ape_bench::report::{latency_section, BENCH_SCHEMA};
+use ape_bench::report::{latency_section, nums, write_bench};
 use ape_bench::{fmt_val, render_table};
+use ape_calib::json::{n, obj};
 use ape_core::basic::MirrorTopology;
 use ape_core::graph::{graph_report, reset_thread_graph};
 use ape_core::opamp::{OpAmp, OpAmpSpec, OpAmpTopology, SpecDelta};
 use ape_farm::{Farm, FarmConfig, Request};
 use ape_netlist::Technology;
-use std::fmt::Write as _;
 use std::time::Instant;
+
+/// Executor sizes for the explicit-executor scaling table.
+const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 fn base_spec() -> OpAmpSpec {
     OpAmpSpec {
@@ -189,17 +192,17 @@ fn main() {
             &[vec![fmt_val(sweep_wall * 1e3), fmt_val(sweep_per_s)]],
         )
     );
-    let detected = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    println!("detected parallelism: {detected} (scaling saturates there)");
+    println!(
+        "detected parallelism: {} (scaling saturates there)",
+        ape_exec::detected_parallelism()
+    );
 
     // The same neighbour stream through `OpAmp::design_many_on` on
     // explicit `Executor::new(w)` pools: estimation-graph scaling without
     // the farm in the way.
     let mut exec_thr = Vec::new();
     let mut rows = Vec::new();
-    for w in [1usize, 2, 4, 8] {
+    for w in WORKERS {
         let exec = ape_exec::Executor::new(w);
         reset_thread_graph();
         let t0 = Instant::now();
@@ -219,52 +222,42 @@ fn main() {
         render_table(&["workers", "designs/s", "speedup"], &rows)
     );
 
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"estimator\",");
-    let _ = writeln!(out, "  \"schema\": {BENCH_SCHEMA},");
-    let _ = writeln!(out, "  \"moves\": {moves},");
-    let _ = writeln!(out, "  \"cold_moves_per_s\": {:.3},", moves as f64 / cold);
-    let _ = writeln!(
-        out,
-        "  \"incremental_moves_per_s\": {:.3},",
-        moves as f64 / incremental
-    );
-    let _ = writeln!(out, "  \"incremental_speedup_single_var\": {speedup:.3},");
-    let _ = writeln!(out, "  \"detected_parallelism\": {detected},");
-    let _ = writeln!(
-        out,
-        "  \"sweep_neighbors\": {{\"jobs\": {}, \"jobs_per_s\": {sweep_per_s:.3}}},",
-        requests.len(),
-    );
-    // Worker-count scaling on explicit executors — gated for monotone
-    // throughput by `ape-bench report` (auto-skipped at parallelism 1).
-    let _ = writeln!(
-        out,
-        "  \"executor\": {{\"workers\": [1, 2, 4, 8], \"design_many_per_s\": [{}]}},",
-        exec_thr
-            .iter()
-            .map(|t| format!("{t:.3}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
     // Quantile blocks: per-move estimator latency (all three repetitions
     // pooled) and the farm's queue behaviour on the sweep.
-    let cold_snap = cold_lat.snapshot();
-    let incr_snap = incr_lat.snapshot();
-    let _ = writeln!(
-        out,
-        "  {}",
-        latency_section(&[
-            ("cold_move", &cold_snap),
-            ("incremental_move", &incr_snap),
-            ("farm_queue_wait", &farm_wait),
-            ("farm_job", &farm_lat),
-        ])
-    );
-    out.push_str("}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_estimator.json", &out).expect("write BENCH_estimator.json");
-    println!("wrote results/BENCH_estimator.json");
+    let latency = latency_section(&[
+        ("cold_move", &cold_lat.snapshot()),
+        ("incremental_move", &incr_lat.snapshot()),
+        ("farm_queue_wait", &farm_wait),
+        ("farm_job", &farm_lat),
+    ]);
+    write_bench(
+        "estimator",
+        obj([
+            ("moves", n(moves as f64)),
+            ("cold_moves_per_s", n(moves as f64 / cold)),
+            ("incremental_moves_per_s", n(moves as f64 / incremental)),
+            ("incremental_speedup_single_var", n(speedup)),
+            (
+                "sweep_neighbors",
+                obj([
+                    ("jobs", n(requests.len() as f64)),
+                    ("jobs_per_s", n(sweep_per_s)),
+                ]),
+            ),
+            // Worker-count scaling on explicit executors — gated for
+            // monotone throughput by `ape-bench report` (auto-skipped at
+            // parallelism 1).
+            (
+                "executor",
+                obj([
+                    ("workers", nums(&WORKERS.map(|w| w as f64))),
+                    ("design_many_per_s", nums(&exec_thr)),
+                ]),
+            ),
+            ("latency_ns", latency),
+        ]),
+    )
+    .expect("write BENCH_estimator.json");
     ape_probe::finish();
 
     if smoke && speedup < 1.5 {

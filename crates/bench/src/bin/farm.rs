@@ -19,14 +19,14 @@
 //!
 //! Run with `cargo run --release -p ape-bench --bin farm`.
 
-use ape_bench::report::{latency_section, BENCH_SCHEMA};
+use ape_bench::report::{latency_section, nums, write_bench};
 use ape_bench::{fmt_val, render_table};
+use ape_calib::json::{n, obj};
 use ape_core::basic::MirrorTopology;
 use ape_core::graph::reset_thread_graph;
 use ape_core::opamp::{OpAmp, OpAmpSpec, OpAmpTopology};
 use ape_farm::{Farm, FarmConfig, Request};
 use ape_netlist::Technology;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Distinct-design runs through a fresh farm each.
@@ -95,9 +95,7 @@ fn run(requests: &[Request]) -> RunResult {
 
 fn main() {
     let _trace = ape_probe::install_from_env();
-    let detected = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let detected = ape_exec::detected_parallelism();
     let exec_workers = ape_exec::Executor::global().workers();
     println!("== Farm throughput: batch op-amp estimation ==");
     println!("detected parallelism: {detected}, shared executor workers: {exec_workers}\n");
@@ -191,41 +189,32 @@ fn main() {
         )
     );
 
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"farm\",");
-    let _ = writeln!(out, "  \"schema\": {BENCH_SCHEMA},");
-    let _ = writeln!(out, "  \"points\": {points},");
-    let _ = writeln!(out, "  \"detected_parallelism\": {detected},");
-    let _ = writeln!(out, "  \"runs\": {RUNS},");
-    let _ = writeln!(out, "  \"designs_per_s\": {designs_per_s:.3},");
-    let _ = writeln!(out, "  \"dedup_executed\": {dedup_executed},");
-    // Worker-count scaling on explicit executors — gated for monotone
-    // throughput by `ape-bench report` (auto-skipped at parallelism 1).
-    let _ = writeln!(
-        out,
-        "  \"executor\": {{\"workers\": [{}], \"design_many_per_s\": [{}]}},",
-        workers_axis
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(", "),
-        exec_thr
-            .iter()
-            .map(|t| format!("{t:.3}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(
-        out,
-        "  {}",
-        latency_section(&[
-            ("queue_wait", &median.queue_wait),
-            ("job", &median.job_latency),
-        ])
-    );
-    out.push_str("}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_farm.json", &out).expect("write BENCH_farm.json");
-    println!("wrote results/BENCH_farm.json");
+    write_bench(
+        "farm",
+        obj([
+            ("points", n(points as f64)),
+            ("runs", n(RUNS as f64)),
+            ("designs_per_s", n(designs_per_s)),
+            ("dedup_executed", n(dedup_executed as f64)),
+            // Worker-count scaling on explicit executors — gated for
+            // monotone throughput by `ape-bench report` (auto-skipped at
+            // parallelism 1).
+            (
+                "executor",
+                obj([
+                    ("workers", nums(&workers_axis.map(|w| w as f64))),
+                    ("design_many_per_s", nums(&exec_thr)),
+                ]),
+            ),
+            (
+                "latency_ns",
+                latency_section(&[
+                    ("queue_wait", &median.queue_wait),
+                    ("job", &median.job_latency),
+                ]),
+            ),
+        ]),
+    )
+    .expect("write BENCH_farm.json");
     ape_probe::finish();
 }

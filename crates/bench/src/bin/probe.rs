@@ -12,10 +12,10 @@
 //! Run with `cargo run --release -p ape-bench --bin probe`; pass `--smoke`
 //! for the fast CI variant.
 
-use ape_bench::report::{latency_section, BENCH_SCHEMA};
+use ape_bench::report::{latency_section, write_bench};
 use ape_bench::{fmt_val, render_table};
+use ape_calib::json::{n, obj};
 use ape_probe::{Counter, Histogram, NullSink, SummarySink};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -109,18 +109,17 @@ fn main() {
         render_table(&["path", "p50", "p90", "p99", "mean"], &rows)
     );
 
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"probe\",");
-    let _ = writeln!(out, "  \"schema\": {BENCH_SCHEMA},");
-    let _ = writeln!(out, "  \"batches\": {batches},");
-    let _ = writeln!(out, "  \"ops_per_batch\": {per_batch},");
     let entries: Vec<(&str, &ape_probe::HistogramSnapshot)> =
-        snaps.iter().map(|(n, s)| (*n, s)).collect();
-    let _ = writeln!(out, "  {}", latency_section(&entries));
-    out.push_str("}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_probe.json", &out).expect("write BENCH_probe.json");
-    println!("wrote results/BENCH_probe.json");
+        snaps.iter().map(|(name, snap)| (*name, snap)).collect();
+    write_bench(
+        "probe",
+        obj([
+            ("batches", n(batches as f64)),
+            ("ops_per_batch", n(per_batch as f64)),
+            ("latency_ns", latency_section(&entries)),
+        ]),
+    )
+    .expect("write BENCH_probe.json");
 
     // Sanity gate: the disabled path must stay cheap relative to the
     // enabled one — if early-return dispatch costs as much as actually

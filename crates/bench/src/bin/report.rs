@@ -16,15 +16,15 @@
 //! run recorded `detected_parallelism` of 1 — worker counts serialize on
 //! one core there, so the arrays measure scheduling overhead, not scaling.
 
-use ape_bench::minijson::{self, Json};
 use ape_bench::report::{diff, Delta, Direction};
+use ape_calib::json::{self, Value};
 
-fn load(path: &str) -> minijson::Json {
+fn load(path: &str) -> Value {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("error: cannot read {path}: {e}");
         std::process::exit(2);
     });
-    minijson::parse(&text).unwrap_or_else(|e| {
+    json::parse(&text).unwrap_or_else(|e| {
         eprintln!("error: {path}: {e}");
         std::process::exit(2);
     })
@@ -32,9 +32,9 @@ fn load(path: &str) -> minijson::Json {
 
 /// The hardware parallelism the run recorded, defaulting to 1 for bench
 /// files that don't carry the field (they have no scaling sections).
-fn detected_parallelism(doc: &Json) -> f64 {
+fn detected_parallelism(doc: &Value) -> f64 {
     doc.get("detected_parallelism")
-        .and_then(Json::as_f64)
+        .and_then(Value::as_f64)
         .unwrap_or(1.0)
 }
 
@@ -42,14 +42,14 @@ fn detected_parallelism(doc: &Json) -> f64 {
 /// and returns a violation line for every entry that falls below the
 /// first (1-worker) entry by more than `slack`: adding workers must never
 /// cost throughput.
-fn monotone_violations(prefix: &str, v: &Json, slack: f64, out: &mut Vec<String>) {
+fn monotone_violations(prefix: &str, v: &Value, slack: f64, out: &mut Vec<String>) {
     match v {
-        Json::Obj(members) => {
+        Value::Obj(members) => {
             for (k, child) in members {
                 let path = format!("{prefix}.{k}");
                 if k.contains("per_s") {
                     if let Some(items) = child.as_arr() {
-                        let vals: Vec<f64> = items.iter().filter_map(Json::as_f64).collect();
+                        let vals: Vec<f64> = items.iter().filter_map(Value::as_f64).collect();
                         if let Some(&base) = vals.first() {
                             for (i, &t) in vals.iter().enumerate().skip(1) {
                                 if t < base * (1.0 - slack) {
@@ -66,7 +66,7 @@ fn monotone_violations(prefix: &str, v: &Json, slack: f64, out: &mut Vec<String>
                 monotone_violations(&path, child, slack, out);
             }
         }
-        Json::Arr(items) => {
+        Value::Arr(items) => {
             for (i, child) in items.iter().enumerate() {
                 monotone_violations(&format!("{prefix}.{i}"), child, slack, out);
             }

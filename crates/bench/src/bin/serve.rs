@@ -22,7 +22,7 @@
 //!
 //! Run with `cargo run --release -p ape-bench --bin serve`.
 
-use ape_bench::report::{latency_section, BENCH_SCHEMA};
+use ape_bench::report::{latency_section, write_bench};
 use ape_bench::{fmt_val, render_table};
 use ape_core::basic::MirrorTopology;
 use ape_core::graph::set_thread_shared_memo;
@@ -32,7 +32,6 @@ use ape_serve::client::Client;
 use ape_serve::json::{n, obj, s, Value};
 use ape_serve::proto::design_result;
 use ape_serve::{Server, ServerConfig, ServerState};
-use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Instant;
@@ -240,9 +239,7 @@ fn main() {
         .and_then(|a| a.parse().ok());
     let requests_per_conn = if smoke { 25 } else { 200 };
 
-    let detected = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let detected = ape_exec::detected_parallelism();
     println!("== ape-serve sustained load: {CONNECTIONS} connections ==");
     println!("detected parallelism: {detected}");
     if detected == 1 {
@@ -325,27 +322,24 @@ fn main() {
     let dropped = closed.dropped + open.dropped;
     let errors = closed.errors + open.errors;
 
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"serve\",");
-    let _ = writeln!(out, "  \"schema\": {BENCH_SCHEMA},");
-    let _ = writeln!(out, "  \"connections\": {CONNECTIONS},");
-    let _ = writeln!(out, "  \"requests_per_connection\": {requests_per_conn},");
-    let _ = writeln!(out, "  \"detected_parallelism\": {detected},");
-    let _ = writeln!(out, "  \"closed_loop_req_per_s\": {closed_rps:.3},");
-    let _ = writeln!(out, "  \"sustained_req_per_s\": {sustained_rps:.3},");
-    let _ = writeln!(out, "  \"ok\": {},", closed.ok + open.ok);
-    let _ = writeln!(out, "  \"errors\": {errors},");
-    let _ = writeln!(out, "  \"dropped\": {dropped},");
-    let _ = writeln!(out, "  \"shared_graph_hits\": {hits},");
-    let _ = writeln!(
-        out,
-        "  {}",
-        latency_section(&[("request", &closed.latency)])
-    );
-    out.push_str("}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_serve.json", &out).expect("write BENCH_serve.json");
-    println!("wrote results/BENCH_serve.json");
+    write_bench(
+        "serve",
+        obj([
+            ("connections", n(CONNECTIONS as f64)),
+            ("requests_per_connection", n(requests_per_conn as f64)),
+            ("closed_loop_req_per_s", n(closed_rps)),
+            ("sustained_req_per_s", n(sustained_rps)),
+            ("ok", n((closed.ok + open.ok) as f64)),
+            ("errors", n(errors as f64)),
+            ("dropped", n(dropped as f64)),
+            ("shared_graph_hits", n(hits as f64)),
+            (
+                "latency_ns",
+                latency_section(&[("request", &closed.latency)]),
+            ),
+        ]),
+    )
+    .expect("write BENCH_serve.json");
 
     if let Some(server) = server {
         server.stop();

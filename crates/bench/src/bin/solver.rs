@@ -13,15 +13,15 @@
 //!
 //! Run with `cargo run --release -p ape-bench --bin solver [-- --smoke]`.
 
+use ape_bench::report::{latency_section, write_bench};
 use ape_bench::specs::table1_opamps;
 use ape_bench::{fmt_val, render_table};
+use ape_calib::json::{n, obj, s, Value};
 use ape_core::opamp::OpAmp;
 use ape_netlist::Technology;
 use ape_oblx::{design_point_from_ape, synthesize, InitialPoint, SolverChoice, SynthesisOptions};
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
 use std::time::Instant;
-
-use ape_bench::report::{latency_section, BENCH_SCHEMA};
 
 const SOLVERS: [(&str, SolverChoice); 5] = [
     ("sa", SolverChoice::Sa),
@@ -68,10 +68,10 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    let mut json_solvers = String::new();
+    let mut json_solvers = BTreeMap::new();
     let mut hists = Vec::new();
     let mut success_rates = Vec::new();
-    for (si, (label, choice)) in SOLVERS.iter().enumerate() {
+    for (label, choice) in SOLVERS {
         let hist = ape_probe::Histogram::new();
         let mut successes = 0usize;
         let mut runs = 0usize;
@@ -87,7 +87,7 @@ fn main() {
                     max_evals: evals,
                     moves_per_temp: 20,
                     seed,
-                    solver: *choice,
+                    solver: choice,
                     ..SynthesisOptions::default()
                 };
                 let t0 = Instant::now();
@@ -104,51 +104,46 @@ fn main() {
             }
         }
         let success_rate = successes as f64 / runs.max(1) as f64;
+        let wall_s = wall_total / runs.max(1) as f64;
+        let mean_evals = evals_total / runs.max(1);
         success_rates.push(success_rate);
         rows.push(vec![
-            (*label).to_string(),
+            label.to_string(),
             format!("{:.0}%", 100.0 * success_rate),
-            fmt_val(wall_total / runs.max(1) as f64),
-            format!("{}", evals_total / runs.max(1)),
+            fmt_val(wall_s),
+            format!("{mean_evals}"),
         ]);
-        let _ = writeln!(
-            json_solvers,
-            "    \"{label}\": {{\"success_rate\": {success_rate:.4}, \"wall_s\": {:.4}, \"evals\": {}}}{}",
-            wall_total / runs.max(1) as f64,
-            evals_total / runs.max(1),
-            if si + 1 < SOLVERS.len() { "," } else { "" }
+        json_solvers.insert(
+            label.to_string(),
+            obj([
+                ("success_rate", n(success_rate)),
+                ("wall_s", n(wall_s)),
+                ("evals", n(mean_evals as f64)),
+            ]),
         );
-        hists.push(((*label).to_string(), hist.snapshot()));
+        hists.push((label, hist.snapshot()));
     }
     println!(
         "{}",
         render_table(&["solver", "success", "mean wall s", "mean evals"], &rows)
     );
 
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"solver\",");
-    let _ = writeln!(out, "  \"schema\": {BENCH_SCHEMA},");
-    let _ = writeln!(out, "  \"evals_budget\": {evals},");
-    let _ = writeln!(out, "  \"seeds\": {},", seeds.len());
-    let _ = writeln!(
-        out,
-        "  \"specs\": [{}],",
-        spec_names
-            .iter()
-            .map(|n| format!("\"{n}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(out, "  \"solvers\": {{");
-    out.push_str(&json_solvers);
-    let _ = writeln!(out, "  }},");
     let entries: Vec<(&str, &ape_probe::HistogramSnapshot)> =
-        hists.iter().map(|(n, h)| (n.as_str(), h)).collect();
-    let _ = writeln!(out, "  {}", latency_section(&entries));
-    out.push_str("}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_solver.json", &out).expect("write BENCH_solver.json");
-    println!("wrote results/BENCH_solver.json");
+        hists.iter().map(|(name, h)| (*name, h)).collect();
+    write_bench(
+        "solver",
+        obj([
+            ("evals_budget", n(evals as f64)),
+            ("seeds", n(seeds.len() as f64)),
+            (
+                "specs",
+                Value::Arr(spec_names.iter().map(|name| s(name)).collect()),
+            ),
+            ("solvers", Value::Obj(json_solvers)),
+            ("latency_ns", latency_section(&entries)),
+        ]),
+    )
+    .expect("write BENCH_solver.json");
 
     // The gate: racing can only add coverage over annealing alone.
     let sa_rate = success_rates[0];

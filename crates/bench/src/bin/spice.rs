@@ -9,8 +9,9 @@
 //! Run with `cargo run --release -p ape-bench --bin spice`; pass `--smoke`
 //! for the fast CI variant (fewer samples and frequency points).
 
-use ape_bench::report::{latency_section, BENCH_SCHEMA};
+use ape_bench::report::{latency_section, nums, write_bench};
 use ape_bench::{fmt_val, render_table};
+use ape_calib::json::{n, obj, s, Value};
 use ape_core::basic::{GainStage, GainTopology};
 use ape_core::module::SallenKeyLowPass;
 use ape_core::opamp::OpAmp;
@@ -20,7 +21,6 @@ use ape_spice::{
     symbolic_cache_stats, transient, AcOptions, Backend, DcOptions, OperatingPoint, TranOptions,
     Unknowns,
 };
-use std::fmt::Write as _;
 use std::time::Instant;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -180,103 +180,86 @@ fn run_case(
     }
 }
 
-/// Hardware threads available to this run — the ceiling for any observed
-/// AC-sweep scaling (on a 1-core runner every multi-thread row reads ≤ 1x).
-fn detected_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
+/// Sweeps per second for each per-sweep wall time.
+fn per_s(secs: &[f64]) -> Value {
+    nums(&secs.iter().map(|t| 1.0 / t).collect::<Vec<_>>())
 }
 
-fn json(results: &[CaseResult], samples: u32, lat: &Latencies) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"spice\",");
-    let _ = writeln!(out, "  \"schema\": {BENCH_SCHEMA},");
-    let _ = writeln!(out, "  \"samples\": {samples},");
-    let _ = writeln!(out, "  \"threads\": [1, 2, 4, 8],");
-    let _ = writeln!(
-        out,
-        "  \"detected_parallelism\": {},",
-        detected_parallelism()
-    );
-    out.push_str("  \"circuits\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", r.name);
-        let _ = writeln!(out, "      \"unknowns\": {},", r.unknowns);
-        let _ = writeln!(
-            out,
-            "      \"dc_ops_per_s\": {{\"dense\": {:.3}, \"sparse\": {:.3}}},",
-            1.0 / r.dc_dense,
-            1.0 / r.dc_sparse
-        );
-        let _ = writeln!(out, "      \"ac_points\": {},", r.ac_points);
-        let _ = writeln!(
-            out,
-            "      \"ac_sweeps_per_s\": {{\"dense\": {:.3}, \"sparse\": [{}]}},",
-            1.0 / r.ac_dense,
-            r.ac_sparse
-                .iter()
-                .map(|t| format!("{:.3}", 1.0 / t))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let _ = writeln!(
-            out,
-            "      \"ac_speedup_sparse_vs_dense\": {:.3},",
-            r.ac_dense / r.ac_sparse[0]
-        );
-        let _ = writeln!(
-            out,
-            "      \"tran_runs_per_s\": {{\"dense\": {:.3}, \"sparse\": {:.3}}},",
-            1.0 / r.tran_dense,
-            1.0 / r.tran_sparse
-        );
-        let _ = writeln!(out, "      \"ac_sweep_alloc_events\": {}", r.ac_allocs);
-        let _ = write!(
-            out,
-            "    }}{}",
-            if i + 1 < results.len() { ",\n" } else { "\n" }
-        );
-    }
-    out.push_str("  ],\n");
+fn write_json(results: &[CaseResult], samples: u32, lat: &Latencies) {
+    let circuits = results
+        .iter()
+        .map(|r| {
+            obj([
+                ("name", s(r.name)),
+                ("unknowns", n(r.unknowns as f64)),
+                (
+                    "dc_ops_per_s",
+                    obj([
+                        ("dense", n(1.0 / r.dc_dense)),
+                        ("sparse", n(1.0 / r.dc_sparse)),
+                    ]),
+                ),
+                ("ac_points", n(r.ac_points as f64)),
+                (
+                    "ac_sweeps_per_s",
+                    obj([
+                        ("dense", n(1.0 / r.ac_dense)),
+                        ("sparse", per_s(&r.ac_sparse)),
+                    ]),
+                ),
+                ("ac_speedup_sparse_vs_dense", n(r.ac_dense / r.ac_sparse[0])),
+                (
+                    "tran_runs_per_s",
+                    obj([
+                        ("dense", n(1.0 / r.tran_dense)),
+                        ("sparse", n(1.0 / r.tran_sparse)),
+                    ]),
+                ),
+                ("ac_sweep_alloc_events", n(r.ac_allocs as f64)),
+            ])
+        })
+        .collect();
     // Worker-count scaling on explicit executors — the section `ape-bench
     // report` gates for monotone throughput (auto-skipped when
     // detected_parallelism is 1, where extra workers only add overhead).
-    out.push_str("  \"executor\": {\n");
-    let _ = writeln!(out, "    \"workers\": [1, 2, 4, 8],");
-    out.push_str("    \"circuits\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = write!(
-            out,
-            "      {{\"name\": \"{}\", \"ac_sweeps_per_s\": [{}]}}{}",
-            r.name,
-            r.ac_exec
-                .iter()
-                .map(|t| format!("{:.3}", 1.0 / t))
-                .collect::<Vec<_>>()
-                .join(", "),
-            if i + 1 < results.len() { ",\n" } else { "\n" }
-        );
-    }
-    out.push_str("    ]\n");
-    out.push_str("  },\n");
+    let executor_circuits = results
+        .iter()
+        .map(|r| obj([("name", s(r.name)), ("ac_sweeps_per_s", per_s(&r.ac_exec))]))
+        .collect();
+    let threads = nums(&THREADS.map(|t| t as f64));
     let (hits, misses, repivots) = symbolic_cache_stats();
-    let _ = writeln!(
-        out,
-        "  \"symbolic_cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"repivots\": {repivots}}},"
-    );
-    let _ = writeln!(
-        out,
-        "  {}",
-        latency_section(&[
-            ("dc_sparse", &lat.dc_sparse.snapshot()),
-            ("ac_sparse_1t", &lat.ac_sparse.snapshot()),
-            ("tran_sparse", &lat.tran_sparse.snapshot()),
-        ])
-    );
-    out.push_str("}\n");
-    out
+    write_bench(
+        "spice",
+        obj([
+            ("samples", n(f64::from(samples))),
+            ("threads", threads.clone()),
+            ("circuits", Value::Arr(circuits)),
+            (
+                "executor",
+                obj([
+                    ("workers", threads),
+                    ("circuits", Value::Arr(executor_circuits)),
+                ]),
+            ),
+            (
+                "symbolic_cache",
+                obj([
+                    ("hits", n(hits as f64)),
+                    ("misses", n(misses as f64)),
+                    ("repivots", n(repivots as f64)),
+                ]),
+            ),
+            (
+                "latency_ns",
+                latency_section(&[
+                    ("dc_sparse", &lat.dc_sparse.snapshot()),
+                    ("ac_sparse_1t", &lat.ac_sparse.snapshot()),
+                    ("tran_sparse", &lat.tran_sparse.snapshot()),
+                ]),
+            ),
+        ]),
+    )
+    .expect("write BENCH_spice.json");
 }
 
 fn main() {
@@ -346,11 +329,9 @@ fn main() {
         "{}",
         render_table(&["circuit", "1w", "2w", "4w", "8w"], &rows)
     );
-    println!(
-        "detected parallelism: {} (scaling saturates there)",
-        detected_parallelism()
-    );
-    if detected_parallelism() == 1 {
+    let detected = ape_exec::detected_parallelism();
+    println!("detected parallelism: {detected} (scaling saturates there)");
+    if detected == 1 {
         eprintln!(
             "spice bench: WARNING: detected parallelism is 1 — thread counts above 1 \
              serialize on one core, so the scaling table measures scheduling overhead, \
@@ -358,9 +339,6 @@ fn main() {
         );
     }
 
-    let payload = json(&results, samples, &lat);
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_spice.json", &payload).expect("write BENCH_spice.json");
-    println!("wrote results/BENCH_spice.json");
+    write_json(&results, samples, &lat);
     ape_probe::finish();
 }

@@ -9,7 +9,7 @@
 //! parse-checks the converted output. Exits non-zero on the first schema
 //! violation — this is the CI gate behind the `batch_sweep` trace smoke.
 
-use ape_bench::minijson::{self, Json};
+use ape_calib::json::{self, Value};
 use ape_probe::{render_chrome_trace, SpanRecord};
 
 fn fail(line_no: usize, line: &str, msg: &str) -> ! {
@@ -17,7 +17,7 @@ fn fail(line_no: usize, line: &str, msg: &str) -> ! {
     std::process::exit(1);
 }
 
-fn req_u64(doc: &Json, key: &str) -> Option<u64> {
+fn req_u64(doc: &Value, key: &str) -> Option<u64> {
     let v = doc.get(key)?.as_f64()?;
     (v >= 0.0 && v.fract() == 0.0).then_some(v as u64)
 }
@@ -43,15 +43,15 @@ fn main() {
         if line.trim().is_empty() {
             continue;
         }
-        let doc = minijson::parse(line)
+        let doc = json::parse(line)
             .unwrap_or_else(|e| fail(line_no, line, &format!("not a JSON object: {e}")));
         let kind = doc
             .get("type")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .unwrap_or_else(|| fail(line_no, line, "missing string field `type`"));
         let name = doc
             .get("name")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .unwrap_or_else(|| fail(line_no, line, "missing string field `name`"));
         if name.is_empty() {
             fail(line_no, line, "empty event name");
@@ -64,7 +64,7 @@ fn main() {
                     fail(line_no, line, "span id 0 is reserved");
                 }
                 let parent = match doc.get("parent") {
-                    Some(Json::Null) => None,
+                    Some(Value::Null) => None,
                     Some(_) => Some(req_u64(&doc, "parent").unwrap_or_else(|| {
                         fail(line_no, line, "span `parent` must be integer or null")
                     })),
@@ -94,7 +94,7 @@ fn main() {
             "value" | "gauge" => {
                 // `null` encodes a non-finite sample and is valid.
                 match doc.get("value") {
-                    Some(Json::Num(_) | Json::Null) => {}
+                    Some(Value::Num(_) | Value::Null) => {}
                     _ => fail(line_no, line, "needs numeric or null `value`"),
                 }
                 if kind == "value" {
@@ -134,13 +134,13 @@ fn main() {
     }
 
     let chrome = render_chrome_trace(&spans);
-    let parsed = minijson::parse(&chrome).unwrap_or_else(|e| {
+    let parsed = json::parse(&chrome).unwrap_or_else(|e| {
         eprintln!("chrome trace export does not parse: {e}");
         std::process::exit(1);
     });
     let n_events = parsed
         .get("traceEvents")
-        .and_then(Json::as_arr)
+        .and_then(Value::as_arr)
         .unwrap_or_else(|| {
             eprintln!("chrome trace export lacks a traceEvents array");
             std::process::exit(1);

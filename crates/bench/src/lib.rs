@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod minijson;
 pub mod report;
 pub mod rows;
 pub mod specs;

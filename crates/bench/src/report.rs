@@ -1,49 +1,79 @@
-//! The standardized `BENCH_*.json` schema and the regression differ behind
+//! The standardized `BENCH_*.json` schema, its one writer
+//! ([`write_bench`]), and the regression differ behind
 //! `cargo run -p ape-bench --bin report`.
 //!
-//! Every bench JSON carries `"schema": 2` and a `"latency_ns"` section of
-//! per-metric quantile blocks rendered by [`latency_block`] from
+//! Every bench JSON carries `"bench"`, `"schema": 2`, the
+//! `"detected_parallelism"` it was recorded at, and a `"latency_ns"`
+//! section of per-metric quantile blocks built by [`latency_block`] from
 //! [`ape_probe::HistogramSnapshot`]s, so CI and humans read p50/p99 the
-//! same way in every file. [`diff`] flattens two reports to dotted numeric
-//! paths and flags the ones that moved the wrong way past a tolerance,
-//! with the good direction inferred from the key name ([`direction_for`]).
+//! same way in every file. Files are compact JSON rendered by the
+//! `ape-calib` codec (sorted keys, shortest round-trip floats). [`diff`]
+//! flattens two reports to dotted numeric paths and flags the ones that
+//! moved the wrong way past a tolerance, with the good direction inferred
+//! from the key name ([`direction_for`]).
 
-use crate::minijson::Json;
+use ape_calib::json::{n, obj, s, Value};
 use ape_probe::HistogramSnapshot;
-use std::fmt::Write as _;
 
 /// Current version stamped into every `BENCH_*.json` as `"schema"`.
 pub const BENCH_SCHEMA: u64 = 2;
 
-/// Renders one histogram as the standardized latency JSON object:
+/// One histogram as the standardized latency object:
 /// `{"count", "mean_ns", "p50_ns", "p90_ns", "p99_ns", "p999_ns", "max_ns"}`.
-pub fn latency_block(h: &HistogramSnapshot) -> String {
+pub fn latency_block(h: &HistogramSnapshot) -> Value {
     let max = if h.count == 0 { 0.0 } else { h.max };
-    format!(
-        "{{\"count\": {}, \"mean_ns\": {:.1}, \"p50_ns\": {:.1}, \"p90_ns\": {:.1}, \"p99_ns\": {:.1}, \"p999_ns\": {:.1}, \"max_ns\": {max:.1}}}",
-        h.count,
-        h.mean(),
-        h.p50(),
-        h.p90(),
-        h.p99(),
-        h.p999(),
+    obj([
+        ("count", n(h.count as f64)),
+        ("mean_ns", n(h.mean())),
+        ("p50_ns", n(h.p50())),
+        ("p90_ns", n(h.p90())),
+        ("p99_ns", n(h.p99())),
+        ("p999_ns", n(h.p999())),
+        ("max_ns", n(max)),
+    ])
+}
+
+/// The `"latency_ns"` section: one [`latency_block`] per named histogram.
+pub fn latency_section(entries: &[(&str, &HistogramSnapshot)]) -> Value {
+    Value::Obj(
+        entries
+            .iter()
+            .map(|(name, h)| ((*name).to_string(), latency_block(h)))
+            .collect(),
     )
 }
 
-/// Renders the whole `"latency_ns"` section (sorted by metric name) ready
-/// to drop into a bench JSON: `"latency_ns": {"name": {...}, ...}`.
-pub fn latency_section(entries: &[(&str, &HistogramSnapshot)]) -> String {
-    let mut sorted: Vec<&(&str, &HistogramSnapshot)> = entries.iter().collect();
-    sorted.sort_by_key(|(name, _)| *name);
-    let mut out = String::from("\"latency_ns\": {");
-    for (i, (name, h)) in sorted.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{name}\": {}", latency_block(h));
-    }
-    out.push('}');
-    out
+/// A JSON array of numbers.
+pub fn nums(values: &[f64]) -> Value {
+    Value::Arr(values.iter().copied().map(n).collect())
+}
+
+/// Writes `results/BENCH_<name>.json`: the object `fields`, stamped with
+/// `"bench": name`, `"schema"` ([`BENCH_SCHEMA`]) and the
+/// `"detected_parallelism"` of this machine, as one compact line.
+///
+/// # Errors
+///
+/// `InvalidInput` when `fields` is not an object; otherwise any error
+/// from creating `results/` or writing the file.
+pub fn write_bench(name: &str, fields: Value) -> std::io::Result<()> {
+    let Value::Obj(mut doc) = fields else {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "BENCH fields must be a JSON object",
+        ));
+    };
+    doc.insert("bench".to_string(), s(name));
+    doc.insert("schema".to_string(), n(BENCH_SCHEMA as f64));
+    doc.insert(
+        "detected_parallelism".to_string(),
+        n(ape_exec::detected_parallelism() as f64),
+    );
+    let path = format!("results/BENCH_{name}.json");
+    std::fs::create_dir_all("results")?;
+    std::fs::write(&path, Value::Obj(doc).render() + "\n")?;
+    println!("wrote {path}");
+    Ok(())
 }
 
 /// Which way a metric should move.
@@ -118,10 +148,10 @@ impl Delta {
     }
 }
 
-fn flatten(prefix: &str, v: &Json, out: &mut Vec<(String, f64)>) {
+fn flatten(prefix: &str, v: &Value, out: &mut Vec<(String, f64)>) {
     match v {
-        Json::Num(n) => out.push((prefix.to_string(), *n)),
-        Json::Obj(members) => {
+        Value::Num(n) => out.push((prefix.to_string(), *n)),
+        Value::Obj(members) => {
             for (k, child) in members {
                 let path = if prefix.is_empty() {
                     k.clone()
@@ -131,7 +161,7 @@ fn flatten(prefix: &str, v: &Json, out: &mut Vec<(String, f64)>) {
                 flatten(&path, child, out);
             }
         }
-        Json::Arr(items) => {
+        Value::Arr(items) => {
             for (i, child) in items.iter().enumerate() {
                 flatten(&format!("{prefix}.{i}"), child, out);
             }
@@ -144,7 +174,7 @@ fn flatten(prefix: &str, v: &Json, out: &mut Vec<(String, f64)>) {
 /// becomes a [`Delta`]; a delta is a regression when its direction is
 /// known and it moved the bad way by more than `tolerance` (fractional:
 /// `0.10` = 10 %).
-pub fn diff(old: &Json, new: &Json, tolerance: f64) -> Vec<Delta> {
+pub fn diff(old: &Value, new: &Value, tolerance: f64) -> Vec<Delta> {
     let mut old_paths = Vec::new();
     let mut new_paths = Vec::new();
     flatten("", old, &mut old_paths);
@@ -174,7 +204,7 @@ pub fn diff(old: &Json, new: &Json, tolerance: f64) -> Vec<Delta> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minijson::parse;
+    use ape_calib::json::parse;
 
     #[test]
     fn latency_block_shape() {
@@ -182,14 +212,13 @@ mod tests {
         h.record(1000.0);
         h.record(3000.0);
         let block = latency_block(&h.snapshot());
-        let doc = parse(&block).expect("block is valid json");
-        assert_eq!(doc.get("count").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(block.get("count").and_then(Value::as_f64), Some(2.0));
         for key in ["mean_ns", "p50_ns", "p90_ns", "p99_ns", "p999_ns", "max_ns"] {
-            let v = doc.get(key).and_then(Json::as_f64).expect(key);
+            let v = block.get(key).and_then(Value::as_f64).expect(key);
             assert!((0.0..=3000.0).contains(&v), "{key} = {v}");
         }
         // An empty histogram renders finite zeros, not inf/nan.
-        let empty = latency_block(&HistogramSnapshot::empty());
+        let empty = latency_block(&HistogramSnapshot::empty()).render();
         parse(&empty).expect("empty block is valid json");
         assert!(!empty.contains("inf") && !empty.contains("NaN"), "{empty}");
     }

@@ -414,6 +414,32 @@ mod tests {
     }
 
     #[test]
+    fn parses_nested_document() {
+        let doc = parse(
+            r#"{"bench": "x", "n": 3, "neg": -1.5e2, "ok": true,
+                "arr": [1, 2, {"k": null}], "esc": "a\"b\\c\nd"}"#,
+        )
+        .unwrap();
+        assert_eq!(doc.get("bench").and_then(Value::as_str), Some("x"));
+        assert_eq!(doc.get("n").and_then(Value::as_f64), Some(3.0));
+        assert_eq!(doc.get("neg").and_then(Value::as_f64), Some(-150.0));
+        assert_eq!(doc.get("ok").and_then(Value::as_bool), Some(true));
+        let arr = doc.get("arr").and_then(Value::as_arr).unwrap();
+        assert_eq!(arr.len(), 3);
+        assert_eq!(arr[2].get("k"), Some(&Value::Null));
+        assert_eq!(doc.get("esc").and_then(Value::as_str), Some("a\"b\\c\nd"));
+    }
+
+    #[test]
+    fn rejects_garbage() {
+        assert!(parse("{").is_err());
+        assert!(parse("{\"a\": }").is_err());
+        assert!(parse("[1, 2,]").is_err());
+        assert!(parse("{} trailing").is_err());
+        assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
     fn rejects_hostile_documents() {
         assert!(parse("{").is_err());
         assert!(parse("[1,]").is_err());

@@ -11,8 +11,8 @@
 
 use crate::job::Request;
 use crate::pool::Farm;
+use ape_calib::json::{n, s, Value};
 use ape_core::opamp::{OpAmpSpec, OpAmpTopology};
-use std::fmt::Write as _;
 
 /// A rectangular grid of op-amp specifications to estimate.
 #[derive(Debug, Clone, PartialEq)]
@@ -252,74 +252,42 @@ impl SweepReport {
     }
 
     /// Renders the report as JSON Lines, one record per grid point in
-    /// index order. Floats are written with Rust's shortest round-trip
-    /// `Display`, so equal runs produce byte-identical output.
+    /// index order, through the `ape-calib` codec: sorted keys and Rust's
+    /// shortest round-trip floats, so equal runs produce byte-identical
+    /// output.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for r in &self.records {
             let p = &r.point;
-            let _ = write!(
-                out,
-                "{{\"index\":{},\"topology\":\"{}\",\"gain_spec\":{},\"ugf_spec_hz\":{},\"cl_f\":{}",
-                p.index,
-                p.topology_label(),
-                Num(p.gain),
-                Num(p.ugf_hz),
-                Num(p.cl_f),
-            );
+            let mut fields = vec![
+                ("index", n(p.index as f64)),
+                ("topology", s(&p.topology_label())),
+                ("gain_spec", n(p.gain)),
+                ("ugf_spec_hz", n(p.ugf_hz)),
+                ("cl_f", n(p.cl_f)),
+            ];
             match &r.outcome {
-                Ok(m) => {
-                    let _ = write!(
-                        out,
-                        ",\"area_um2\":{},\"power_mw\":{},\"gain\":{},\"gain_err_frac\":{},\"ugf_hz\":{},\"pareto\":{}",
-                        Num(m.area_um2),
-                        Num(m.power_mw),
-                        Num(m.gain),
-                        Num(m.gain_err_frac),
-                        Num(m.ugf_hz),
-                        r.pareto,
-                    );
-                }
-                Err(e) => {
-                    let _ = write!(out, ",\"error\":\"{}\"", escape_json(e));
-                }
+                Ok(m) => fields.extend([
+                    ("area_um2", n(m.area_um2)),
+                    ("power_mw", n(m.power_mw)),
+                    ("gain", n(m.gain)),
+                    ("gain_err_frac", n(m.gain_err_frac)),
+                    ("ugf_hz", n(m.ugf_hz)),
+                    ("pareto", Value::Bool(r.pareto)),
+                ]),
+                Err(e) => fields.push(("error", s(e))),
             }
-            out.push_str("}\n");
+            let record = Value::Obj(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            );
+            out.push_str(&record.render());
+            out.push('\n');
         }
         out
     }
-}
-
-/// JSON-safe float rendering: Rust `Display` is shortest-round-trip and
-/// deterministic, but non-finite values need a textual stand-in.
-struct Num(f64);
-
-impl std::fmt::Display for Num {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.0.is_finite() {
-            write!(f, "{}", self.0)
-        } else {
-            write!(f, "\"{}\"", self.0)
-        }
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -394,7 +362,17 @@ mod tests {
 
     #[test]
     fn json_escaping_handles_quotes_and_control_chars() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
+        let mut failed = record(0, None);
+        failed.outcome = Err("a\"b\\c\nd\u{1}".to_string());
+        let text = SweepReport {
+            records: vec![failed],
+        }
+        .to_jsonl();
+        assert!(text.contains(r#""error":"a\"b\\c\nd\u0001""#), "{text}");
+        let line = ape_calib::json::parse(text.trim_end()).unwrap();
+        assert_eq!(
+            line.get("error").and_then(Value::as_str),
+            Some("a\"b\\c\nd\u{1}")
+        );
     }
 }

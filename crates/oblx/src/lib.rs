@@ -13,7 +13,8 @@
 //! * a **cost function** compiled from the specifications with
 //!   relative-shortfall penalties and small area/power objectives
 //!   ([`cost::cost`]);
-//! * **simulated annealing** over the interval box (`ape-anneal`), each
+//! * **simulated annealing** over the interval box (`ape_solve::SaSolver`,
+//!   the default of the `ape-solve` engines [`synthesize`] can run), each
 //!   move evaluated with a DC solve plus an **AWE reduced model**
 //!   (`ape-awe`) rather than a full sweep;
 //! * a final **audit** with the full simulator (`ape-spice`), reproducing

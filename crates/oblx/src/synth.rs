@@ -6,13 +6,13 @@ use crate::cost::{cost, CostWeights};
 use crate::error::OblxError;
 use crate::eval::{evaluate_candidate_with, EvalFidelity};
 use crate::vars::{blind_center, blind_ranges, seeded_ranges, DesignPoint};
-use ape_anneal::{
-    anneal_with_observer, AnnealOptions, Observer, Schedule, TempStats, VectorRanges,
-};
 use ape_core::graph::{ensure_thread_shared_memo, thread_shared_memo, SharedMemo};
 use ape_core::opamp::{OpAmpSpec, OpAmpTopology};
 use ape_netlist::Technology;
-use ape_solve::{Budget, CancelAware, CmaEs, NewtonPolish, ParticleSwarm, Problem, Solver};
+use ape_solve::{
+    Budget, CancelAware, CmaEs, NewtonPolish, ParticleSwarm, Problem, SaSolver, Solver,
+    VectorRanges,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,10 +38,11 @@ pub enum InitialPoint {
 
 /// Which search engine sizes the template.
 ///
-/// The default, [`SolverChoice::Sa`], is the simulated-annealing loop the
-/// paper's ASTRX/OBLX system uses, and its trajectories are bit-exact with
-/// the pre-portfolio versions of this crate. The alternatives run the same
-/// cost function through the `ape-solve` portfolio.
+/// Every choice runs the same cost function through the `ape-solve`
+/// [`Solver`] trait. The default, [`SolverChoice::Sa`], is
+/// [`SaSolver`], the simulated annealer the paper's ASTRX/OBLX system
+/// uses; its trajectories are bit-exact with the pre-portfolio versions
+/// of this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SolverChoice {
     /// Simulated annealing (the ASTRX/OBLX engine). The default.
@@ -143,24 +144,6 @@ pub struct PortfolioOutcome {
     pub members: Vec<MemberSummary>,
 }
 
-/// Polls the thread-current cancellation token at every temperature
-/// plateau, so a batch driver can abandon a synthesis between plateaus
-/// without killing its worker thread.
-struct CancelObserver {
-    cancelled: bool,
-}
-
-impl Observer for CancelObserver {
-    fn on_temperature(&mut self, _stats: &TempStats) {}
-
-    fn should_stop(&mut self) -> bool {
-        if !self.cancelled {
-            self.cancelled = ape_core::cancel::current_cancelled();
-        }
-        self.cancelled
-    }
-}
-
 /// Spec validation plus interval/start construction, shared by every
 /// solver path.
 fn prepare(
@@ -198,6 +181,28 @@ fn prepare(
             let clamped = r.clamp(point.to_log());
             Ok((r, clamped))
         }
+    }
+}
+
+/// The annealing cost of a log-space candidate: a DC solve plus AWE at
+/// `opts.fidelity`, graded against `spec`. Every engine minimises this.
+fn candidate_cost<'a>(
+    tech: &'a Technology,
+    topology: OpAmpTopology,
+    spec: &'a OpAmpSpec,
+    opts: &'a SynthesisOptions,
+) -> impl Fn(&[f64]) -> f64 + Sync + 'a {
+    move |s: &[f64]| {
+        let p = DesignPoint::from_log(s);
+        let e = evaluate_candidate_with(tech, topology, spec, &p, opts.fidelity);
+        cost(&e, spec, tech.vdd, &opts.weights)
+    }
+}
+
+fn budget(opts: &SynthesisOptions) -> Budget {
+    Budget {
+        max_evals: opts.max_evals,
+        seed: opts.seed,
     }
 }
 
@@ -241,98 +246,35 @@ pub fn synthesize(
     opts: &SynthesisOptions,
 ) -> Result<SynthesisOutcome, OblxError> {
     let _span = ape_probe::span("oblx.synthesize");
-    if opts.solver == SolverChoice::Portfolio {
-        return synthesize_portfolio(tech, topology, spec, init, opts).map(|p| p.outcome);
-    }
+    let solver: Box<dyn Solver> = match opts.solver {
+        SolverChoice::Sa => Box::new(SaSolver {
+            moves_per_temp: opts.moves_per_temp,
+        }),
+        SolverChoice::CmaEs => Box::new(CmaEs::default()),
+        SolverChoice::ParticleSwarm => Box::new(ParticleSwarm::default()),
+        SolverChoice::NewtonPolish => Box::new(NewtonPolish::default()),
+        SolverChoice::Portfolio => {
+            return synthesize_portfolio(tech, topology, spec, init, opts).map(|p| p.outcome)
+        }
+    };
     let t0 = Instant::now();
     let (ranges, start) = prepare(topology, spec, init)?;
-    let weights = opts.weights;
-    let spec_c = *spec;
-    let tech_c = tech.clone();
-    let fidelity = opts.fidelity;
-
-    let (best, best_cost, evals) = match opts.solver {
-        SolverChoice::Sa => {
-            let initial_eval = evaluate_candidate_with(
-                &tech_c,
-                topology,
-                &spec_c,
-                &DesignPoint::from_log(&start),
-                fidelity,
-            );
-            let initial_cost = cost(&initial_eval, &spec_c, tech_c.vdd, &weights);
-            let anneal_opts = AnnealOptions {
-                schedule: Schedule::Geometric {
-                    t0: (initial_cost / 3.0).clamp(0.5, 1e3),
-                    alpha: 0.9,
-                    moves_per_temp: opts.moves_per_temp,
-                    t_min: 1e-6,
-                },
-                max_evals: opts.max_evals,
-                seed: opts.seed,
-                target_cost: TARGET_COST,
-            };
-            let mut cancel_obs = CancelObserver { cancelled: false };
-            let result = anneal_with_observer(
-                start,
-                |s| {
-                    let p = DesignPoint::from_log(s);
-                    let e = evaluate_candidate_with(&tech_c, topology, &spec_c, &p, fidelity);
-                    cost(&e, &spec_c, tech_c.vdd, &weights)
-                },
-                |s, t, rng| ranges.neighbor(s, t, rng),
-                &anneal_opts,
-                &mut cancel_obs,
-            );
-            if cancel_obs.cancelled || ape_core::cancel::current_cancelled() {
-                return Err(OblxError::Cancelled);
-            }
-            (
-                DesignPoint::from_log(&result.best_state),
-                result.best_cost,
-                result.evals,
-            )
-        }
-        SolverChoice::CmaEs | SolverChoice::ParticleSwarm | SolverChoice::NewtonPolish => {
-            // Share the caller's memo if one is installed (a farm worker's
-            // cross-job cache); otherwise give the run its own, so parallel
-            // generations still deduplicate re-visited candidates.
-            let memo = thread_shared_memo().unwrap_or_else(|| Arc::new(SharedMemo::new()));
-            let solver_cost = move |s: &[f64]| {
-                ensure_thread_shared_memo(Some(memo.clone()));
-                let p = DesignPoint::from_log(s);
-                let e = evaluate_candidate_with(&tech_c, topology, &spec_c, &p, fidelity);
-                cost(&e, &spec_c, tech_c.vdd, &weights)
-            };
-            let feasible = |c: f64| c <= TARGET_COST;
-            let problem = Problem::new(&ranges, &solver_cost)
-                .with_satisfied(&feasible)
-                .with_start(start);
-            let budget = Budget {
-                max_evals: opts.max_evals,
-                seed: opts.seed,
-            };
-            let mut obs = CancelAware;
-            let r = match opts.solver {
-                SolverChoice::CmaEs => CmaEs::default().solve(&problem, &budget, &mut obs),
-                SolverChoice::ParticleSwarm => {
-                    ParticleSwarm::default().solve(&problem, &budget, &mut obs)
-                }
-                _ => NewtonPolish::default().solve(&problem, &budget, &mut obs),
-            };
-            if ape_core::cancel::current_cancelled() {
-                return Err(OblxError::Cancelled);
-            }
-            (DesignPoint::from_log(&r.best), r.best_cost, r.evals)
-        }
-        SolverChoice::Portfolio => unreachable!("handled above"),
-    };
-
+    // The single engines evaluate sequentially on this thread, so the cost
+    // runs against the caller's own graph and memo attachment.
+    let cost_fn = candidate_cost(tech, topology, spec, opts);
+    let problem = Problem::new(&ranges, &cost_fn)
+        .with_target(TARGET_COST)
+        .with_start(start);
+    let r = solver.solve(&problem, &budget(opts), &mut CancelAware);
+    if ape_core::cancel::current_cancelled() {
+        return Err(OblxError::Cancelled);
+    }
+    let best = DesignPoint::from_log(&r.best);
     let audit = run_audit(tech, topology, spec, &best, opts.audit_tol)?;
     Ok(SynthesisOutcome {
         best,
-        cost: best_cost,
-        evals,
+        cost: r.best_cost,
+        evals: r.evals,
         audit,
         wall: t0.elapsed(),
     })
@@ -362,27 +304,28 @@ pub fn synthesize_portfolio(
     let _span = ape_probe::span("oblx.synthesize_portfolio");
     let t0 = Instant::now();
     let (ranges, start) = prepare(topology, spec, init)?;
-    let weights = opts.weights;
-    let spec_c = *spec;
-    let tech_c = tech.clone();
-    let fidelity = opts.fidelity;
-    let memo = thread_shared_memo().unwrap_or_else(|| Arc::new(SharedMemo::new()));
-    let solver_cost = move |s: &[f64]| {
+    // Members run on executor workers and inline on this thread; each cost
+    // call attaches the run's store so they share one memo. Share the
+    // caller's store if one is attached (a farm worker's cross-job cache),
+    // and put the caller's attachment back after the race.
+    let caller_memo = thread_shared_memo();
+    let memo = caller_memo
+        .clone()
+        .unwrap_or_else(|| Arc::new(SharedMemo::new()));
+    let eval = candidate_cost(tech, topology, spec, opts);
+    let cost_fn = move |s: &[f64]| {
         ensure_thread_shared_memo(Some(memo.clone()));
-        let p = DesignPoint::from_log(s);
-        let e = evaluate_candidate_with(&tech_c, topology, &spec_c, &p, fidelity);
-        cost(&e, &spec_c, tech_c.vdd, &weights)
+        eval(s)
     };
-    let feasible = |c: f64| c <= TARGET_COST;
-    let problem = Problem::new(&ranges, &solver_cost)
-        .with_satisfied(&feasible)
+    let problem = Problem::new(&ranges, &cost_fn)
+        .with_target(TARGET_COST)
         .with_start(start);
-    let budget = Budget {
-        max_evals: opts.max_evals,
-        seed: opts.seed,
-    };
-    let race =
-        ape_solve::Portfolio::standard().race(&problem, &budget, ape_exec::Executor::global());
+    let race = ape_solve::Portfolio::standard().race(
+        &problem,
+        &budget(opts),
+        ape_exec::Executor::global(),
+    );
+    ensure_thread_shared_memo(caller_memo);
     if ape_core::cancel::current_cancelled() {
         return Err(OblxError::Cancelled);
     }
@@ -421,6 +364,7 @@ pub fn synthesize_portfolio(
 mod tests {
     use super::*;
     use crate::vars::design_point_from_ape;
+    use ape_anneal::{anneal_with_observer, AnnealOptions, Schedule};
     use ape_core::basic::MirrorTopology;
     use ape_core::opamp::OpAmp;
 
@@ -534,6 +478,44 @@ mod tests {
         }
     }
 
+    /// A run must leave the caller's store attachment as it found it,
+    /// whichever engine runs and whether or not a store was attached.
+    #[test]
+    fn synthesis_keeps_the_callers_store_attachment() {
+        use ape_core::graph::set_thread_shared_memo;
+        let tech = Technology::default_1p2um();
+        let store = Arc::new(SharedMemo::new());
+        for solver in [
+            SolverChoice::Sa,
+            SolverChoice::CmaEs,
+            SolverChoice::ParticleSwarm,
+            SolverChoice::NewtonPolish,
+            SolverChoice::Portfolio,
+        ] {
+            for attached in [None, Some(store.clone())] {
+                set_thread_shared_memo(attached.clone());
+                let opts = SynthesisOptions {
+                    max_evals: 30,
+                    moves_per_temp: 10,
+                    solver,
+                    ..SynthesisOptions::default()
+                };
+                synthesize(&tech, topo(), &spec(), &InitialPoint::Blind, &opts).unwrap();
+                let same = match (&attached, thread_shared_memo()) {
+                    (None, None) => true,
+                    (Some(a), Some(b)) => Arc::ptr_eq(a, &b),
+                    _ => false,
+                };
+                assert!(
+                    same,
+                    "{solver:?} changed the attachment (store attached before: {})",
+                    attached.is_some()
+                );
+            }
+        }
+        set_thread_shared_memo(None);
+    }
+
     #[test]
     fn bad_spec_rejected() {
         let tech = Technology::default_1p2um();
@@ -586,7 +568,6 @@ mod tests {
             seed: opts.seed,
             target_cost: 0.04,
         };
-        let mut obs = CancelObserver { cancelled: false };
         let reference = anneal_with_observer(
             start,
             |s| {
@@ -596,7 +577,7 @@ mod tests {
             },
             |s, t, rng| ranges.neighbor(s, t, rng),
             &anneal_opts,
-            &mut obs,
+            &mut (),
         );
         assert_eq!(
             out.best.values,

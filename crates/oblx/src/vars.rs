@@ -7,8 +7,8 @@
 //! Table 4.
 
 use crate::error::OblxError;
-use ape_anneal::VectorRanges;
 use ape_core::opamp::{OpAmp, OpAmpTopology};
+use ape_solve::VectorRanges;
 
 /// One design variable: a name plus its blind search interval. All
 /// variables are searched in log space (they span decades).

@@ -8,16 +8,17 @@
 //! scalar cost function on a box:
 //!
 //! * [`Problem`] — a cost closure over a [`VectorRanges`] box, plus an
-//!   optional `satisfied(cost)` early-exit predicate;
+//!   optional cost target: a run stops once its best cost is at or below
+//!   it;
 //! * [`Solver`] — `solve(problem, budget, observer) -> SolveResult`,
-//!   implemented by four engines: [`SaSolver`] (an adapter over the
-//!   `ape-anneal` kernel), [`CmaEs`], [`ParticleSwarm`], and
-//!   [`NewtonPolish`] (derivative-free coordinate line-search with
-//!   finite-difference curvature);
+//!   implemented by four engines: [`SaSolver`] (the ASTRX/OBLX annealer
+//!   on the `ape-anneal` kernel, `ape-oblx`'s default engine), [`CmaEs`],
+//!   [`ParticleSwarm`], and [`NewtonPolish`] (derivative-free coordinate
+//!   line-search with finite-difference curvature);
 //! * [`Portfolio`] — races solver instances as tasks on the shared
-//!   [`ape_exec::Executor`]; the first member whose best cost satisfies
-//!   the predicate raises a shared stop flag and the losers stop
-//!   cooperatively at their next observer poll.
+//!   [`ape_exec::Executor`]; the first member whose best cost meets the
+//!   target raises a shared stop flag and the losers stop cooperatively at
+//!   their next observer poll.
 //!
 //! Every engine is seeded-deterministic on [`Rng64`]: the same
 //! [`Budget::seed`] gives bit-identical [`SolveResult`]s at any worker
@@ -47,7 +48,8 @@ pub use sa::SaSolver;
 pub use ape_anneal::{Rng64, VectorRanges};
 
 /// A box-constrained minimisation problem: a scalar cost over
-/// [`VectorRanges`], with an optional early-exit predicate on the cost.
+/// [`VectorRanges`], with an optional cost target as its one early-exit
+/// setting.
 ///
 /// Non-finite costs are graded as `f64::INFINITY` (and counted on the
 /// `solve.non_finite_cost` probe) so hostile landscapes cannot poison a
@@ -55,25 +57,25 @@ pub use ape_anneal::{Rng64, VectorRanges};
 pub struct Problem<'a> {
     cost: &'a (dyn Fn(&[f64]) -> f64 + Sync),
     ranges: &'a VectorRanges,
-    satisfied: Option<&'a (dyn Fn(f64) -> bool + Sync)>,
+    target: f64,
     start: Option<Vec<f64>>,
 }
 
 impl<'a> Problem<'a> {
-    /// A problem over `ranges` minimising `cost`.
+    /// A problem over `ranges` minimising `cost`, with no cost target.
     pub fn new(ranges: &'a VectorRanges, cost: &'a (dyn Fn(&[f64]) -> f64 + Sync)) -> Self {
         Problem {
             cost,
             ranges,
-            satisfied: None,
+            target: f64::NEG_INFINITY,
             start: None,
         }
     }
 
-    /// Adds an early-exit predicate: once a solver's best cost satisfies
-    /// it, the run stops and [`SolveResult::satisfied`] is set.
-    pub fn with_satisfied(mut self, pred: &'a (dyn Fn(f64) -> bool + Sync)) -> Self {
-        self.satisfied = Some(pred);
+    /// Sets the cost target: once a solver's best cost is at or below
+    /// `target`, the run stops and [`SolveResult::satisfied`] is set.
+    pub fn with_target(mut self, target: f64) -> Self {
+        self.target = target;
         self
     }
 
@@ -112,9 +114,14 @@ impl<'a> Problem<'a> {
         (self.cost)(x)
     }
 
-    /// `true` when `cost` satisfies the early-exit predicate.
+    /// The cost target (`f64::NEG_INFINITY` when none was set).
+    pub fn target(&self) -> f64 {
+        self.target
+    }
+
+    /// `true` when `cost` meets the cost target.
     pub fn satisfied(&self, cost: f64) -> bool {
-        self.satisfied.map(|p| p(cost)).unwrap_or(false)
+        cost <= self.target
     }
 }
 
@@ -200,11 +207,10 @@ pub struct SolveResult {
     pub best_cost: f64,
     /// Cost evaluations performed — never exceeds [`Budget::max_evals`].
     pub evals: usize,
-    /// `true` when the best cost satisfied the problem's early-exit
-    /// predicate.
+    /// `true` when the best cost met the problem's cost target.
     pub satisfied: bool,
     /// `true` when the observer stopped the run before the budget or the
-    /// predicate did.
+    /// target did.
     pub stopped: bool,
     /// `(evaluation index, best cost so far)` trace of improvements.
     pub history: Vec<(usize, f64)>,
@@ -268,8 +274,8 @@ impl<'p, 'a, 'o> Run<'p, 'a, 'o> {
         self.max_evals.saturating_sub(self.evals)
     }
 
-    /// `true` once the run must end: budget spent, predicate satisfied,
-    /// or observer stop.
+    /// `true` once the run must end: budget spent, target met, or
+    /// observer stop.
     pub(crate) fn halted(&self) -> bool {
         self.evals >= self.max_evals || self.satisfied || self.stopped
     }
@@ -359,7 +365,7 @@ pub(crate) fn eval_generation(
                 .collect()
         }
         // Same semantics as the parallel arm: a generation is atomic, so a
-        // predicate satisfied mid-batch does not shorten it — otherwise
+        // target met mid-batch does not shorten it — otherwise
         // sequential and parallel runs would diverge in eval counts.
         _ => points
             .iter()
@@ -475,12 +481,12 @@ mod tests {
     fn eval_generation_matches_sequential_on_executor() {
         let ranges = VectorRanges::new(vec![(-2.0, 2.0); 3]).unwrap();
         let cost = sphere();
-        let pred = |c: f64| c < -1.0; // never fires
         let points: Vec<Vec<f64>> = (0..12)
             .map(|k| vec![k as f64 * 0.1 - 0.6, 0.3, -0.2])
             .collect();
         let run_with = |exec: Option<&ape_exec::Executor>| {
-            let p = Problem::new(&ranges, &cost).with_satisfied(&pred);
+            // A target the sphere never reaches.
+            let p = Problem::new(&ranges, &cost).with_target(-1.0);
             let mut obs = ();
             let mut run = Run::new(&p, &Budget::evals(100), &mut obs);
             let costs = eval_generation(&mut run, &points, exec);

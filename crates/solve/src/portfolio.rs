@@ -137,8 +137,8 @@ impl Portfolio {
         self.members.is_empty()
     }
 
-    /// Races every member on `exec`. The first member to satisfy the
-    /// problem's predicate trips a shared flag that the others observe on
+    /// Races every member on `exec`. The first member to meet the
+    /// problem's cost target trips a shared flag that the others observe on
     /// their next [`SolveObserver::should_stop`] poll; the ambient
     /// [`ape_core::cancel`] token (captured at the call site and
     /// re-installed in each task) cancels the whole race the same way.
@@ -269,8 +269,7 @@ mod tests {
     fn standard_portfolio_finds_the_sphere_minimum() {
         let ranges = VectorRanges::new(vec![(-3.0, 3.0); 3]).unwrap();
         let cost = |x: &[f64]| x.iter().map(|v| (v - 0.7) * (v - 0.7)).sum::<f64>();
-        let pred = |c: f64| c < 1e-3;
-        let p = Problem::new(&ranges, &cost).with_satisfied(&pred);
+        let p = Problem::new(&ranges, &cost).with_target(1e-3);
         let exec = ape_exec::Executor::new(2);
         let r = Portfolio::standard().race(&p, &Budget::evals(20_000).with_seed(7), &exec);
         assert!(r.best.satisfied, "winner: {:?}", r.best);
@@ -327,8 +326,8 @@ mod tests {
         LOSER_EVALS.store(0, Ordering::Relaxed);
         let ranges = VectorRanges::new(vec![(0.0, 10.0); 2]).unwrap();
         let cost = |x: &[f64]| x.iter().sum::<f64>();
-        let pred = |c: f64| c < 11.0; // the center (5,5) satisfies instantly
-        let p = Problem::new(&ranges, &cost).with_satisfied(&pred);
+        // The center (5,5) meets the target instantly.
+        let p = Problem::new(&ranges, &cost).with_target(11.0);
         // Winner first so the help-drain order reaches it at any worker
         // count; the loser's budget alone would take far longer than the
         // race actually runs.
@@ -370,7 +369,7 @@ mod tests {
 
     #[test]
     fn race_is_deterministic_per_member_across_worker_counts() {
-        // With no satisfied predicate the stop flag never trips, so every
+        // With no cost target the stop flag never trips, so every
         // member runs its full budget — results must be bit-identical
         // whether the race runs inline (0 workers) or on 3 workers.
         let ranges = VectorRanges::new(vec![(-2.0, 2.0); 2]).unwrap();
@@ -392,7 +391,7 @@ mod tests {
 
     #[test]
     fn newton_polish_races_on_a_quarter_budget() {
-        // No satisfied predicate, so nothing trips the stop flag and each
+        // No cost target, so nothing trips the stop flag and each
         // member runs against its own ceiling. The polish member must be
         // capped at ceil(frac·max_evals) while the global searchers keep
         // the full allowance.

@@ -1,12 +1,16 @@
-//! [`Solver`] adapter over the `ape-anneal` simulated-annealing kernel.
+//! [`Solver`] adapter over the `ape-anneal` simulated-annealing kernel: the
+//! ASTRX/OBLX annealer.
 
 use crate::{Budget, Problem, Progress, SolveObserver, SolveResult, Solver};
 use ape_anneal::{anneal_with_observer, AnnealOptions, Observer, Schedule, TempStats};
 
-/// Simulated annealing behind the [`Solver`] trait: one pre-evaluation of
-/// the start scales the geometric schedule ([`Schedule::geometric_auto`]),
-/// then the `ape-anneal` kernel runs the remaining budget with
-/// temperature-scaled box moves.
+/// Simulated annealing behind the [`Solver`] trait, with the ASTRX/OBLX
+/// schedule: the start's cost `c0` sets a geometric schedule
+/// (`t0 = c0/3` clamped to `[0.5, 1e3]`, `alpha = 0.9`, `t_min = 1e-6`)
+/// and is the kernel's first evaluation, so the start is computed once.
+/// The `ape-anneal` kernel then spends the rest of the budget on
+/// temperature-scaled box moves and stops on the move that reaches the
+/// problem's cost target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SaSolver {
     /// Moves evaluated per temperature plateau.
@@ -20,34 +24,26 @@ impl Default for SaSolver {
 }
 
 /// Bridges the annealer's plateau hooks onto a [`SolveObserver`]: forwards
-/// progress, polls for cooperative stop, and latches satisfaction of the
-/// problem's early-exit predicate (the kernel itself only knows a scalar
-/// `target_cost`).
-struct Bridge<'o, 'p, 'a> {
+/// progress and polls for cooperative stop.
+struct Bridge<'o> {
     outer: &'o mut dyn SolveObserver,
-    problem: &'p Problem<'a>,
     evals: usize,
-    satisfied: bool,
     stopped: bool,
 }
 
-impl Observer for Bridge<'_, '_, '_> {
+impl Observer for Bridge<'_> {
     fn on_temperature(&mut self, stats: &TempStats) {
         self.evals += stats.moves;
         self.outer.on_progress(&Progress {
             evals: self.evals,
             best_cost: stats.best_cost,
         });
-        if !self.satisfied && self.problem.satisfied(stats.best_cost) {
-            self.satisfied = true;
-        }
     }
 
     fn should_stop(&mut self) -> bool {
-        if !self.stopped && self.outer.should_stop() {
-            self.stopped = true;
-        }
-        self.satisfied || self.stopped
+        // The kernel breaks out on the first `true`, so this never unlatches.
+        self.stopped = self.outer.should_stop();
+        self.stopped
     }
 }
 
@@ -75,52 +71,49 @@ impl Solver for SaSolver {
             };
         }
         let initial_cost = problem.cost(&start);
-        let satisfied = problem.satisfied(initial_cost);
-        if satisfied || budget.max_evals == 1 || problem.dim() == 0 {
-            return SolveResult {
-                best: start,
-                best_cost: initial_cost,
-                evals: 1,
-                satisfied,
-                stopped: false,
-                history: vec![(1, initial_cost)],
-            };
-        }
         let opts = AnnealOptions {
-            schedule: Schedule::geometric_auto(initial_cost, self.moves_per_temp.max(1)),
-            max_evals: budget.max_evals - 1,
+            schedule: Schedule::Geometric {
+                t0: (initial_cost / 3.0).clamp(0.5, 1e3),
+                alpha: 0.9,
+                moves_per_temp: self.moves_per_temp,
+                t_min: 1e-6,
+            },
+            // A zero-dimensional box has one point: nothing to move to.
+            max_evals: if problem.dim() == 0 {
+                1
+            } else {
+                budget.max_evals
+            },
             seed: budget.seed,
-            target_cost: f64::NEG_INFINITY,
+            target_cost: problem.target(),
         };
         let mut bridge = Bridge {
             outer: observer,
-            problem,
             evals: 1,
-            satisfied: false,
             stopped: false,
         };
         let ranges = problem.ranges();
+        let mut start_cost = Some(initial_cost);
         let r = anneal_with_observer(
-            start.clone(),
-            |s: &Vec<f64>| problem.cost(s),
+            start,
+            |s: &Vec<f64>| start_cost.take().unwrap_or_else(|| problem.cost(s)),
             |s, t, rng| ranges.neighbor(s, t, rng),
             &opts,
             &mut bridge,
         );
-        // Merge the schedule-scaling pre-eval back into the accounting; the
-        // kernel re-evaluated the same start as its own initial state.
-        let (best, best_cost) = if initial_cost <= r.best_cost {
-            (start, initial_cost)
-        } else {
-            (r.best_state, r.best_cost)
-        };
-        let mut history = vec![(1usize, initial_cost)];
-        history.extend(r.history.iter().map(|&(e, c)| (e + 1, c)));
+        // The kernel indexes the start as evaluation 0 and closes its trace
+        // with a final `(evals, best)` entry; count the start as evaluation
+        // 1 and keep the improvements only.
+        let mut history = r.history;
+        history.pop();
+        if let Some(first) = history.first_mut() {
+            first.0 = 1;
+        }
         SolveResult {
-            best,
-            best_cost,
-            evals: r.evals + 1,
-            satisfied: problem.satisfied(best_cost),
+            best: r.best_state,
+            best_cost: r.best_cost,
+            evals: r.evals,
+            satisfied: problem.satisfied(r.best_cost),
             stopped: bridge.stopped,
             history,
         }
@@ -147,12 +140,35 @@ mod tests {
     fn sa_stops_when_satisfied() {
         let ranges = VectorRanges::new(vec![(-4.0, 4.0); 2]).unwrap();
         let cost = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
-        let pred = |c: f64| c < 0.5;
         let p = Problem::new(&ranges, &cost)
-            .with_satisfied(&pred)
+            .with_target(0.5)
             .with_start(vec![3.0, 3.0]);
         let r = SaSolver::default().solve(&p, &Budget::evals(50_000).with_seed(2), &mut ());
         assert!(r.satisfied);
         assert!(r.evals < 50_000, "ran the whole budget: {}", r.evals);
+    }
+
+    #[test]
+    fn sa_stops_on_the_move_that_reaches_the_target() {
+        let ranges = VectorRanges::new(vec![(-4.0, 4.0); 2]).unwrap();
+        let cost = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
+        let target = 0.5;
+        let p = Problem::new(&ranges, &cost)
+            .with_target(target)
+            .with_start(vec![3.0, 3.0]);
+        let sa = SaSolver { moves_per_temp: 40 };
+        let r = sa.solve(&p, &Budget::evals(50_000).with_seed(2), &mut ());
+        let hit = r
+            .history
+            .iter()
+            .find(|&&(_, c)| c <= target)
+            .map(|&(k, _)| k)
+            .expect("the target was reached");
+        // Evaluation 1 is the start; plateau moves follow in blocks of
+        // `moves_per_temp`. The hit must not be a plateau's last move, or
+        // stopping at the plateau's end would pass too.
+        assert_ne!((hit - 1) % sa.moves_per_temp, 0, "hit {hit} ends a plateau");
+        assert!(r.satisfied);
+        assert_eq!(r.evals, hit);
     }
 }
