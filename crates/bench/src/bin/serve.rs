@@ -254,7 +254,6 @@ fn main() {
     let server = if external.is_none() {
         let config = ServerConfig {
             inflight_per_conn: 64,
-            shared_graph: true,
             ..ServerConfig::default()
         };
         let srv = Server::bind("127.0.0.1:0", Technology::default_1p2um(), config)

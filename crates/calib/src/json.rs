@@ -167,6 +167,7 @@ fn escape_into(s: &str, out: &mut String) {
 /// Parses one complete JSON document, rejecting trailing garbage.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -185,6 +186,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -337,12 +339,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    if let Some(c) = s.chars().next() {
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
+                    // Copy the whole run up to the next `"` or `\` at once.
+                    // Both are ASCII, so the run ends on a char boundary.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |k| self.pos + k);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -447,6 +451,29 @@ mod tests {
         assert!(parse("nul").is_err());
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&deep).is_err(), "depth bound must trip");
+    }
+
+    /// String scanning must stay linear in the input: a ~200 KiB string
+    /// mixing ASCII, 2- and 4-byte characters and escapes parses well
+    /// inside a second, even in a debug build.
+    #[test]
+    fn long_mixed_strings_parse_in_linear_time() {
+        let (mut doc, mut want) = (String::from("\""), String::new());
+        for k in 0..10_240 {
+            doc.push_str(r#"ab é😀\n\"\u00e9 "#);
+            want.push_str("ab é😀\n\"é ");
+            if k % 1024 == 0 {
+                doc.push_str("\\\\");
+                want.push('\\');
+            }
+        }
+        doc.push('"');
+        assert!(doc.len() > 200 * 1024);
+        let t0 = std::time::Instant::now();
+        let got = parse(&doc).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(got, Value::Str(want));
+        assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
     }
 
     #[test]

@@ -852,10 +852,9 @@ pub fn ensure_thread_calibration(calib: Option<Arc<Calibration>>) {
 /// Because every node is a pure memoized function of its fingerprint,
 /// the results are bit-identical to a sequential
 /// `components.iter().map(|c| with_thread_graph(tech, |g| g.evaluate(c)))`
-/// loop at any worker count (gated by `graph_equivalence.rs`).
-///
-/// With zero executor workers (single-core boxes) or a single component
-/// this *is* that sequential loop — same thread, same graph, same order.
+/// loop at any worker count (gated by `graph_equivalence.rs`). On an
+/// `Executor::new(0)` pool the scope runs every task inline in input
+/// order, which *is* that loop; a single component skips the scope.
 pub fn evaluate_many<C>(
     exec: &ape_exec::Executor,
     tech: &Technology,
@@ -864,7 +863,7 @@ pub fn evaluate_many<C>(
 where
     C: Component + Sync,
 {
-    if components.len() <= 1 || exec.workers() == 0 {
+    if components.len() <= 1 {
         return components
             .iter()
             .map(|c| with_thread_graph(tech, |g| g.evaluate(c)))

@@ -171,26 +171,6 @@ impl Component for OpAmpNode {
         // channel-length stretching that manufacturable widths force on
         // low-current designs, at the cost of slew headroom. Walk down
         // until the area budget is met.
-        let exec = ape_exec::Executor::global();
-        if exec.workers() > 0 {
-            // With executor workers available, evaluate every overdrive
-            // attempt concurrently and fold with the same selection rule
-            // as the sequential walk. Attempts are pure memoized
-            // functions, so computing the tail eagerly changes
-            // wall-clock, never the chosen result.
-            crate::cancel::check_current()?;
-            let attempts: Vec<OpAmpAttemptNode> = VOV_WALK
-                .iter()
-                .map(|&vov_sig| OpAmpAttemptNode {
-                    topology: self.topology,
-                    spec: self.spec,
-                    vov_sig,
-                })
-                .collect();
-            let results =
-                crate::graph::evaluate_many(exec, graph.technology(), &attempts).into_iter();
-            return fold_attempts(results, self.spec.area_max_m2);
-        }
         let results = VOV_WALK.iter().map(|&vov_sig| {
             // Cancellation checkpoint between refinement attempts: a batch
             // driver abandoning this job loses at most one attempt's work.
@@ -211,10 +191,8 @@ impl Component for OpAmpNode {
 /// [`VOV_WALK`] order: the first area-fitting `Ok` wins; otherwise the
 /// last `Ok` (closest to fitting — the walk shrinks area monotonically);
 /// otherwise the first non-cancellation `Err`. Cancellation always wins
-/// so an abandoned job unwinds promptly. Shared verbatim by the
-/// sequential walk and the executor fan-out so the two paths cannot
-/// diverge; the early `return` short-circuits the lazy sequential
-/// iterator exactly where the old loop stopped evaluating.
+/// so an abandoned job unwinds promptly. The early `return` stops the
+/// lazy walk at the first attempt that fits.
 fn fold_attempts(
     results: impl Iterator<Item = Result<OpAmp, ApeError>>,
     area_max_m2: f64,
@@ -403,8 +381,10 @@ impl OpAmp {
     /// [`evaluate_many`](crate::graph::evaluate_many), so independent
     /// designs proceed concurrently while sharing subtrees through this
     /// thread's [`SharedMemo`](crate::graph::SharedMemo) (when one is
-    /// installed). With zero executor workers this is exactly the
-    /// sequential loop.
+    /// installed). On an `Executor::new(0)` pool this is exactly the
+    /// sequential loop. Each design walks its own overdrive attempts
+    /// lazily on the thread that runs it: batches parallelise across
+    /// designs, never within one.
     ///
     /// # Errors
     ///

@@ -24,12 +24,13 @@
 //!   `scope` does not return (normally or by unwind) until every spawned
 //!   task has finished. Panics inside tasks are caught, counted under
 //!   `ape.exec.task_panicked`, and re-thrown at the scope exit.
-//! * **Zero-worker degradation.** On a single-core box the global
-//!   executor has no worker threads at all; scoped and detached work
-//!   runs inline on the calling thread in submission order. Every
-//!   consumer of this crate is written so that the inline path is the
-//!   sequential path — which is also how bit-identity of parallel vs
-//!   sequential results is made trivial to reason about.
+//! * **At least one worker in the global pool.** [`Executor::global`]
+//!   starts one worker even on a single-core box, so detached work
+//!   always runs off the submitting thread and no caller needs a second
+//!   code path for an empty pool. An explicit `Executor::new(0)` pool has
+//!   no workers: its scoped and detached work runs inline on the calling
+//!   thread in submission order, which makes it the sequential reference
+//!   that parallel results are checked against bit for bit.
 //! * **Cancellation stays cooperative.** The executor knows nothing of
 //!   `ape_core::cancel` (that would invert the crate DAG); instead the
 //!   call sites capture the submitting thread's `CancelToken` in the
@@ -280,12 +281,14 @@ impl Executor {
     }
 
     /// The process-wide shared pool, lazily initialized to
-    /// `detected_parallelism() - 1` workers: the submitting thread is
-    /// the missing lane, since it help-drains its own scopes. On a
-    /// single-core machine this is zero workers — pure inline execution.
+    /// `detected_parallelism() - 1` workers (the submitting thread is
+    /// the missing lane, since it help-drains its own scopes), but never
+    /// fewer than one: a detached job on the global pool always runs on an
+    /// executor thread, never on the caller. Only an OS refusal to start
+    /// that thread (`ape.exec.spawn_failed`) leaves it with none.
     pub fn global() -> &'static Executor {
         static GLOBAL: OnceLock<Executor> = OnceLock::new();
-        GLOBAL.get_or_init(|| Executor::new(detected_parallelism().saturating_sub(1)))
+        GLOBAL.get_or_init(|| Executor::new(detected_parallelism().saturating_sub(1).max(1)))
     }
 
     /// Number of live worker threads (0 means everything runs inline).
@@ -616,9 +619,9 @@ mod tests {
     }
 
     #[test]
-    fn global_is_sized_below_detected_parallelism() {
+    fn global_has_one_worker_per_spare_core_and_at_least_one() {
         let g = Executor::global();
-        assert!(g.workers() < detected_parallelism() || g.workers() == 0);
+        assert_eq!(g.workers(), detected_parallelism().saturating_sub(1).max(1));
         assert_eq!(g.parallelism(), g.workers() + 1);
     }
 }

@@ -119,8 +119,8 @@ pub enum FarmError {
     /// The farm was shutting down when the job was submitted.
     ShuttingDown,
     /// The farm lost track of the job: its worker died outside the panic
-    /// net. Surfaced as an error instead of hanging or panicking the
-    /// waiter.
+    /// net, or the executor has no worker thread to run it on. Surfaced as
+    /// an error instead of hanging or panicking the waiter.
     WorkerLost(String),
     /// A submission referenced a technology fingerprint that was never
     /// registered with [`Farm::register_technology`](crate::Farm::register_technology).

@@ -21,7 +21,6 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
-use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// Configuration of a [`Farm`].
@@ -128,9 +127,6 @@ struct WorkItem {
     parent_span: Option<u64>,
     /// Admission time, for the queue-wait histogram.
     admitted: Instant,
-    /// The submitting thread: a job that runs on it (inline, on an
-    /// executor with no workers) hands its per-thread state back.
-    submitter: ThreadId,
 }
 
 /// Bounds admitted-but-unfinished jobs at the farm's capacity.
@@ -506,18 +502,12 @@ impl Farm {
     /// Submits a request, blocking while the farm is full (backpressure).
     ///
     /// An identical request still in flight is shared instead of run
-    /// again; the returned handle then waits on the shared flight. On an
-    /// executor with no worker threads the job runs inline, before this
-    /// returns, and leaves the calling thread's estimation-graph
-    /// attachments and solver cache as it found them.
+    /// again; the returned handle then waits on the shared flight. The job
+    /// always runs on an executor thread, never on the caller, so a
+    /// submission leaves the calling thread's estimation-graph attachments
+    /// and solver cache untouched.
     pub fn submit(&self, req: Request) -> JobHandle {
         self.submit_opts(req, SubmitOptions::default())
-    }
-
-    /// `true` when a submission runs its job inline, before it returns:
-    /// the shared executor has no worker threads (a one-core host).
-    pub fn submits_inline(&self) -> bool {
-        ape_exec::Executor::global().workers() == 0
     }
 
     /// Fail-fast submission: like [`Farm::submit`] but a full farm yields
@@ -537,9 +527,19 @@ impl Farm {
     /// Submits a request with per-submission [`SubmitOptions`]: tenant
     /// technology selection, caller-owned cancellation, extra deadline,
     /// and admission policy.
+    ///
+    /// If the OS refused to start even one executor thread, the handle is
+    /// born resolved to [`FarmError::WorkerLost`]: the farm never runs a
+    /// job on the submitting thread.
     pub fn submit_opts(&self, req: Request, opts: SubmitOptions) -> JobHandle {
         let shared = &self.shared;
         shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        if ape_exec::Executor::global().workers() == 0 {
+            return self.refuse(
+                "ape.farm.no_workers",
+                FarmError::WorkerLost("the executor could not start a worker thread".to_string()),
+            );
+        }
         let tech = match opts.technology {
             None => shared.tech.clone(),
             Some(fp) => match shared.lookup_technology(fp) {
@@ -612,7 +612,6 @@ impl Farm {
             cancel: token,
             parent_span: ape_probe::current_span(),
             admitted: Instant::now(),
-            submitter: std::thread::current().id(),
         };
         let task_shared = shared.clone();
         ape_exec::Executor::global().spawn(move || run_job(&task_shared, &item));
@@ -657,19 +656,10 @@ struct Finish<'a> {
     shared: &'a Shared,
     item: &'a WorkItem,
     outcome: Option<Result<Response, FarmError>>,
-    /// The submitting thread's graph attachments, put back when the job ran
-    /// inline on that thread.
-    restore: Option<ThreadAttachments>,
 }
-
-type ThreadAttachments = (Option<Arc<SharedMemo>>, Option<Arc<Calibration>>);
 
 impl Drop for Finish<'_> {
     fn drop(&mut self) {
-        if let Some((memo, calib)) = self.restore.take() {
-            ape_core::graph::ensure_thread_shared_memo(memo);
-            ape_core::graph::ensure_thread_calibration(calib);
-        }
         let outcome = self.outcome.take().unwrap_or_else(|| {
             ape_probe::counter("ape.farm.worker.lost_job", 1);
             self.shared.stats.panicked.fetch_add(1, Ordering::Relaxed);
@@ -684,25 +674,16 @@ impl Drop for Finish<'_> {
     }
 }
 
-/// Executes one admitted job on whatever thread the executor chose and
-/// publishes its outcome. Executor threads are shared with other farms and
-/// clients, so per-thread state (the estimation graph's shared-memo and
-/// calibration attachments) is asserted per job. A job that ran inline on
-/// the submitting thread puts that thread's attachments back, so a caller's
-/// own `OpAmp::design` after a submission computes exactly what it would
-/// have without one, whatever the executor's size.
+/// Executes one admitted job on an executor thread and publishes its
+/// outcome. Executor threads are shared with other farms and clients, so
+/// per-thread state (the estimation graph's shared-memo and calibration
+/// attachments) is asserted per job and left in place afterwards, keeping
+/// the thread's graph warm for the farm's next job.
 fn run_job(shared: &Shared, item: &WorkItem) {
-    let restore = (std::thread::current().id() == item.submitter).then(|| {
-        (
-            ape_core::graph::thread_shared_memo(),
-            ape_core::graph::thread_calibration(),
-        )
-    });
     let mut finish = Finish {
         shared,
         item,
         outcome: None,
-        restore,
     };
     // `ensure` compares by `Arc` identity (by content fingerprint for the
     // calibration), so consecutive jobs from the same farm keep the
@@ -830,13 +811,11 @@ mod tests {
         )))
     }
 
-    /// A job that runs inline on its submitting thread (as on an executor
-    /// with no workers) runs under the farm's attachments and then hands the
-    /// thread back as it found it, so the caller's own designs stay raw. On
-    /// any other thread the attachments stay, keeping that thread's graph
-    /// warm for the farm's next job.
+    /// A job leaves the farm's shared memo and its calibration attached to
+    /// the thread that ran it, so that thread's graph stays warm for the
+    /// farm's next job.
     #[test]
-    fn inline_job_restores_the_submitting_threads_attachments() {
+    fn a_job_leaves_the_farms_attachments_on_the_thread_that_ran_it() {
         use ape_core::graph::{thread_calibration, thread_shared_memo};
         let config = FarmConfig {
             shared_graph: true,
@@ -845,43 +824,30 @@ mod tests {
         let farm = Farm::new(Technology::default_1p2um(), config);
         let calib = Arc::new(Calibration::identity(
             farm.technology().fingerprint(),
-            "inline",
+            "attached",
         ));
-        let run_as = |submitter: ThreadId| {
-            let (flight, owner) = farm.shared.flights.claim(1);
-            assert!(owner);
-            let item = WorkItem {
-                key: 1,
-                flight: flight.clone(),
-                req: Request::Custom {
-                    label: "attachments",
-                    nonce: 0,
-                    run: attachments,
-                },
-                tech: farm.shared.tech.clone(),
-                calib: Some(calib.clone()),
-                cancel: CancelToken::new(),
-                parent_span: None,
-                admitted: Instant::now(),
-                submitter,
-            };
-            farm.shared.admission.admit(false).unwrap();
-            run_job(&farm.shared, &item);
-            match flight.peek() {
-                Some(Ok(Response::Text(t))) => t,
-                other => panic!("job did not publish: {other:?}"),
-            }
+        let (flight, owner) = farm.shared.flights.claim(1);
+        assert!(owner);
+        let item = WorkItem {
+            key: 1,
+            flight: flight.clone(),
+            req: Request::Custom {
+                label: "attachments",
+                nonce: 0,
+                run: attachments,
+            },
+            tech: farm.shared.tech.clone(),
+            calib: Some(calib.clone()),
+            cancel: CancelToken::new(),
+            parent_span: None,
+            admitted: Instant::now(),
         };
-
-        let inline = run_as(std::thread::current().id());
-        assert_eq!(inline, "memo=true calib=true");
-        assert!(thread_shared_memo().is_none(), "inline job left its memo");
-        assert!(thread_calibration().is_none(), "inline job left its table");
-
-        let elsewhere = std::thread::spawn(|| std::thread::current().id())
-            .join()
-            .unwrap();
-        assert_eq!(run_as(elsewhere), "memo=true calib=true");
+        farm.shared.admission.admit(false).unwrap();
+        run_job(&farm.shared, &item);
+        match flight.peek() {
+            Some(Ok(Response::Text(t))) => assert_eq!(t, "memo=true calib=true"),
+            other => panic!("job did not publish: {other:?}"),
+        }
         assert!(Arc::ptr_eq(
             &thread_shared_memo().unwrap(),
             farm.shared_memo().unwrap()

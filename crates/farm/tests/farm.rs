@@ -2,8 +2,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! End-to-end behaviour of the farm: real estimator jobs, deduplication,
 //! cancellation, panic isolation, and backpressure. Every test must hold
-//! at any executor size, including none (jobs then run inline in
-//! `submit`), so ordering is forced by gates, never by sleeps alone.
+//! at any executor size, down to one worker shared by all the tests in
+//! this binary, so ordering is forced by gates, never by sleeps alone.
 
 use ape_core::basic::MirrorTopology;
 use ape_core::opamp::{OpAmpSpec, OpAmpTopology};
@@ -72,23 +72,13 @@ fn identical_submissions_run_once() {
         nonce: 1,
         run: gated_job,
     };
-    // Submit from threads: on an executor without worker threads the first
-    // submission runs its job inline, and the duplicates must arrive while
-    // it is still running.
-    std::thread::scope(|s| {
-        let waiters: Vec<_> = (0..3)
-            .map(|_| s.spawn(|| farm.submit(req.clone()).wait()))
-            .collect();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while farm.stats().deduped < 2 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        GATE_OPEN.store(true, Ordering::SeqCst);
-        for w in waiters {
-            let r = w.join().unwrap().expect("shared flight succeeds");
-            assert!(matches!(r, Response::Text(ref s) if s == "gated done"));
-        }
-    });
+    // The gate keeps the first job in flight, so both duplicates join it.
+    let handles: Vec<_> = (0..3).map(|_| farm.submit(req.clone())).collect();
+    GATE_OPEN.store(true, Ordering::SeqCst);
+    for h in handles {
+        let r = h.wait().expect("shared flight succeeds");
+        assert!(matches!(r, Response::Text(ref s) if s == "gated done"));
+    }
     assert_eq!(
         GATE_RUNS.load(Ordering::SeqCst),
         1,
@@ -163,26 +153,22 @@ fn until_cancelled_job(_tech: &Technology) -> Result<Response, FarmError> {
 #[test]
 fn cancel_all_reaches_running_and_waiting_jobs() {
     let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
-    std::thread::scope(|s| {
-        // Cancel from another thread: without executor workers the first
-        // job runs inline and holds this thread until it is cancelled.
-        s.spawn(|| {
-            std::thread::sleep(Duration::from_millis(50));
-            farm.cancel_all();
-        });
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                farm.submit(Request::Custom {
-                    label: "until-cancelled",
-                    nonce: i,
-                    run: until_cancelled_job,
-                })
+    let handles: Vec<_> = (0..4)
+        .map(|i| {
+            farm.submit(Request::Custom {
+                label: "until-cancelled",
+                nonce: i,
+                run: until_cancelled_job,
             })
-            .collect();
-        for h in handles {
-            assert_eq!(h.wait().unwrap_err(), FarmError::Cancelled);
-        }
-    });
+        })
+        .collect();
+    // Give the first job time to start, so the cancel reaches a running
+    // job as well as waiting ones.
+    std::thread::sleep(Duration::from_millis(50));
+    farm.cancel_all();
+    for h in handles {
+        assert_eq!(h.wait().unwrap_err(), FarmError::Cancelled);
+    }
     assert_eq!(farm.stats().cancelled, 4);
 }
 

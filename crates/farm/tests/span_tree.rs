@@ -83,18 +83,13 @@ fn worker_job_spans_parent_under_the_submitting_request() {
             "parent closed before child started: {parent:?} vs {job:?}"
         );
         // Cross-thread propagation is the whole point: the job ran on an
-        // executor thread, not the submitting one — unless the executor
-        // has no worker threads and ran it inline.
-        if ape_exec::Executor::global().workers() > 0 {
-            assert_ne!(job.tid, request.tid, "job must run on a worker thread");
-        }
+        // executor thread, not the submitting one.
+        assert_ne!(job.tid, request.tid, "job must run on a worker thread");
     }
 
     // The rendered Chrome trace carries flow arrows for those cross-thread
     // parent links.
-    if ape_exec::Executor::global().workers() > 0 {
-        let json = sink.render();
-        assert!(json.contains("\"ph\":\"s\""), "flow-start events present");
-        assert!(json.contains("\"ph\":\"f\""), "flow-finish events present");
-    }
+    let json = sink.render();
+    assert!(json.contains("\"ph\":\"s\""), "flow-start events present");
+    assert!(json.contains("\"ph\":\"f\""), "flow-finish events present");
 }

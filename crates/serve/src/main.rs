@@ -3,8 +3,7 @@
 //! ```text
 //! ape-serve [--addr HOST:PORT] [--queue N]
 //!           [--max-connections N] [--inflight N] [--deadline-ms N]
-//!           [--tech 1p2um|0p5um] [--no-shared-graph] [--no-remote-shutdown]
-//!           [--stdio]
+//!           [--tech 1p2um|0p5um] [--no-remote-shutdown] [--stdio]
 //! ```
 //!
 //! `--stdio` speaks the same NDJSON protocol over stdin/stdout (one
@@ -38,7 +37,6 @@ fn main() {
                 config.default_deadline = Some(Duration::from_millis(parse_num(&take("N")) as u64));
             }
             "--tech" => tech_name = take("1p2um|0p5um"),
-            "--no-shared-graph" => config.shared_graph = false,
             "--no-remote-shutdown" => config.allow_remote_shutdown = false,
             "--stdio" => stdio = true,
             "--help" | "-h" => {
@@ -46,8 +44,7 @@ fn main() {
                     "ape-serve: persistent estimation daemon (NDJSON over TCP)\n\
                      options: --addr HOST:PORT  --queue N\n\
                      \x20        --max-connections N  --inflight N  --deadline-ms N\n\
-                     \x20        --tech 1p2um|0p5um  --no-shared-graph\n\
-                     \x20        --no-remote-shutdown  --stdio"
+                     \x20        --tech 1p2um|0p5um  --no-remote-shutdown  --stdio"
                 );
                 return;
             }

@@ -17,12 +17,6 @@
 //! Cancellation is a tree: server root → connection → request. Client
 //! disconnect cancels the connection token, which abandons every job the
 //! connection still has in flight at the estimator's next checkpoint.
-//!
-//! The reader never runs a job. On an executor with no worker threads (a
-//! one-core host) a farm submission runs its job inline, so there the
-//! connection's completion thread submits each request just before
-//! waiting on it, and the reader stays free to read `cancel` ops and
-//! notice a disconnect.
 
 use crate::json::{obj, s, Value};
 use crate::proto::{
@@ -56,10 +50,6 @@ pub struct ServerConfig {
     /// Honour the `shutdown` op (tests and benches); when `false` the op
     /// answers `bad_request`.
     pub allow_remote_shutdown: bool,
-    /// Attach the pool-wide shared estimation graph (see
-    /// [`FarmConfig::shared_graph`]). On by default: it is the point of a
-    /// resident daemon.
-    pub shared_graph: bool,
 }
 
 impl Default for ServerConfig {
@@ -71,7 +61,6 @@ impl Default for ServerConfig {
             default_deadline: None,
             max_line_bytes: DEFAULT_MAX_LINE,
             allow_remote_shutdown: true,
-            shared_graph: true,
         }
     }
 }
@@ -107,10 +96,12 @@ impl std::fmt::Debug for ServerState {
 
 impl ServerState {
     fn new(tech: Technology, config: ServerConfig) -> Arc<ServerState> {
+        // The pool-wide shared estimation graph is the point of a resident
+        // daemon, so its farm always has one.
         let farm_config = FarmConfig {
             queue_capacity: config.queue_capacity,
             job_timeout: None,
-            shared_graph: config.shared_graph,
+            shared_graph: true,
         };
         Arc::new(ServerState {
             farm: Farm::new(tech, farm_config),
@@ -493,15 +484,6 @@ fn serve_http<R: Read>(
     );
 }
 
-/// A farm-backed request on its way to the completion thread.
-enum Job {
-    /// Submitted by the reader; it runs on the executor's workers.
-    Submitted(JobHandle),
-    /// Submitted by the completion thread, because the submission would
-    /// run the job inline (see the module docs).
-    Deferred(Box<Request>, SubmitOptions),
-}
-
 /// Metadata for one farm-backed request awaiting completion.
 struct Pending {
     id: u64,
@@ -545,7 +527,7 @@ fn serve_ndjson<R: Read, W: Write + Send + 'static>(
     // Completion thread: waits farm-backed requests FIFO and writes their
     // responses. Immediate ops answer from the reader thread; the writer
     // mutex keeps lines atomic.
-    let (tx, rx) = mpsc::channel::<(Job, Pending)>();
+    let (tx, rx) = mpsc::channel::<(JobHandle, Pending)>();
     let completion = {
         let conn = conn.clone();
         let state = state.clone();
@@ -553,11 +535,7 @@ fn serve_ndjson<R: Read, W: Write + Send + 'static>(
         std::thread::Builder::new()
             .name("ape-serve-complete".to_string())
             .spawn(move || {
-                while let Ok((job, p)) = rx.recv() {
-                    let handle = match job {
-                        Job::Submitted(handle) => handle,
-                        Job::Deferred(req, opts) => state.farm.submit_opts(*req, opts),
-                    };
+                while let Ok((handle, p)) = rx.recv() {
                     let outcome = handle.wait();
                     latency.record(p.started.elapsed().as_nanos() as f64);
                     conn.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -644,7 +622,7 @@ fn dispatch<W: Write>(
     state: &Arc<ServerState>,
     conn: &Arc<ConnShared<W>>,
     conn_token: &CancelToken,
-    tx: &mpsc::Sender<(Job, Pending)>,
+    tx: &mpsc::Sender<(JobHandle, Pending)>,
     id: u64,
     req: WireRequest,
 ) -> bool {
@@ -778,7 +756,7 @@ fn submit_job<W: Write>(
     state: &Arc<ServerState>,
     conn: &Arc<ConnShared<W>>,
     conn_token: &CancelToken,
-    tx: &mpsc::Sender<(Job, Pending)>,
+    tx: &mpsc::Sender<(JobHandle, Pending)>,
     id: u64,
     req: Request,
     technology: Option<u64>,
@@ -802,7 +780,6 @@ fn submit_job<W: Write>(
     let deadline = deadline_ms
         .map(Duration::from_millis)
         .or(state.config.default_deadline);
-    // The deadline runs from arrival, whichever thread submits.
     let token = match deadline {
         Some(d) => conn_token.child_with_timeout(d),
         None => conn_token.child(),
@@ -821,11 +798,7 @@ fn submit_job<W: Write>(
         deadline: None,
         fail_fast: true,
     };
-    let job = if state.farm.submits_inline() {
-        Job::Deferred(Box::new(req), opts)
-    } else {
-        Job::Submitted(state.farm.submit_opts(req, opts))
-    };
+    let handle = state.farm.submit_opts(req, opts);
     conn.inflight.fetch_add(1, Ordering::SeqCst);
     let pending = Pending {
         id,
@@ -833,7 +806,7 @@ fn submit_job<W: Write>(
         deadline: deadline.map(|d| Instant::now() + d),
         cancelled_explicitly,
     };
-    if tx.send((job, pending)).is_err() {
+    if tx.send((handle, pending)).is_err() {
         // Completion thread is gone (connection tearing down).
         conn.inflight.fetch_sub(1, Ordering::SeqCst);
     }

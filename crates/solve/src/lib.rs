@@ -331,9 +331,10 @@ impl<'p, 'a, 'o> Run<'p, 'a, 'o> {
 /// Evaluates a generation of candidate points, truncated to the remaining
 /// budget, and records the costs **in input order** — so the result (and
 /// every downstream ranking) is bit-identical whether the raw costs were
-/// computed sequentially or fanned out on `exec`.
+/// computed sequentially or fanned out on `exec` (an `Executor::new(0)`
+/// pool runs the fan-out inline in input order).
 ///
-/// The parallel path mirrors `ape_core::graph::evaluate_many`: each task
+/// The fan-out mirrors `ape_core::graph::evaluate_many`: each task
 /// carries the submitting thread's cancellation token; memo attachment is
 /// the cost closure's own business (the `oblx` closure re-installs its
 /// shared store on whichever worker runs it).
@@ -345,7 +346,7 @@ pub(crate) fn eval_generation(
     let k = points.len().min(run.remaining());
     let points = &points[..k];
     match exec {
-        Some(e) if k > 1 && e.workers() > 0 => {
+        Some(e) if k > 1 => {
             let problem = run.problem;
             let token = ape_core::cancel::current();
             let mut raw = vec![0.0f64; k];

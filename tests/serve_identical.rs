@@ -50,11 +50,7 @@ fn design_fields(gain: f64, cl: f64) -> Value {
 #[test]
 fn daemon_results_are_bit_identical_and_shared_across_connections() {
     let tech = Technology::default_1p2um();
-    let config = ServerConfig {
-        shared_graph: true,
-        ..ServerConfig::default()
-    };
-    let server = Server::bind("127.0.0.1:0", tech.clone(), config).expect("bind");
+    let server = Server::bind("127.0.0.1:0", tech.clone(), ServerConfig::default()).expect("bind");
     let handle = server.spawn().expect("spawn");
     let addr = handle.addr();
 
