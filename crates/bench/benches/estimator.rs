@@ -8,6 +8,7 @@
 use ape_bench::harness::BenchGroup;
 use ape_bench::specs::{table1_opamps, table3_opamps};
 use ape_core::basic::{DiffPair, DiffTopology};
+use ape_core::graph::EstimationGraph;
 use ape_core::module::{SallenKeyLowPass, SampleHold};
 use ape_core::opamp::OpAmp;
 use ape_netlist::Technology;
@@ -48,15 +49,16 @@ fn main() {
     });
 
     // The paper's "sized transistor objects" reuse: repeated operating
-    // points answered from the cache vs re-solved.
-    let cache = ape_core::cache::SizingCache::new(&tech);
-    cache
-        .size_for_gm_id(false, 100e-6, 10e-6, 2.4e-6)
+    // points answered from the graph's level-1 memo vs re-solved.
+    let graph = EstimationGraph::new(&tech, None, None);
+    let vds = tech.vdd / 2.0;
+    graph
+        .size_gm_id(false, 100e-6, 10e-6, 2.4e-6, vds, 0.0)
         .expect("seeds");
     g.bench("sizing_cached", || {
         black_box(
-            cache
-                .size_for_gm_id(false, 100e-6, 10e-6, 2.4e-6)
+            graph
+                .size_gm_id(false, 100e-6, 10e-6, 2.4e-6, vds, 0.0)
                 .expect("hits"),
         )
     });

@@ -5,7 +5,6 @@
 
 use super::{cards, L_BIAS};
 use crate::attrs::Performance;
-use crate::cache::cached_size_for_id_vov_at;
 use crate::error::ApeError;
 use crate::graph::{with_thread_graph, Component, EstimationGraph};
 use ape_mos::fingerprint::Fingerprint;
@@ -47,7 +46,7 @@ impl Component for DcVoltNode {
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<DcVolt, ApeError> {
-        DcVolt::design_uncached(graph.technology(), self.vout, self.ibias)
+        DcVolt::design_uncached(graph, self.vout, self.ibias)
     }
 }
 
@@ -89,13 +88,13 @@ impl DcVolt {
     ///   diode (needs `vth + 50 mV` on both sides of the rail).
     /// * [`ApeError::Device`] when a device cannot be sized.
     pub fn design(tech: &Technology, vout: f64, ibias: f64) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l2.bias");
         with_thread_graph(tech, |g| g.evaluate(&DcVoltNode { vout, ibias }))
     }
 
-    /// [`design`](Self::design) without the graph memo — the node's
-    /// compute body.
-    fn design_uncached(tech: &Technology, vout: f64, ibias: f64) -> Result<Self, ApeError> {
+    /// The node's compute body behind [`design`](Self::design): runs on
+    /// a memo miss and evaluates every child node in `graph`.
+    fn design_uncached(graph: &EstimationGraph, vout: f64, ibias: f64) -> Result<Self, ApeError> {
+        let tech = graph.technology();
         let c = cards(tech)?;
         if !(ibias.is_finite() && ibias > 0.0) {
             return Err(ApeError::BadSpec {
@@ -118,9 +117,8 @@ impl DcVolt {
                 ),
             });
         }
-        let m_low = cached_size_for_id_vov_at(tech, false, ibias, vov_low, L_BIAS, 2.5, 0.0)?;
-        let m_high =
-            cached_size_for_id_vov_at(tech, false, ibias, vov_high, L_BIAS, tech.vdd - vout, vout)?;
+        let m_low = graph.size_id_vov(false, ibias, vov_low, L_BIAS, 2.5, 0.0)?;
+        let m_high = graph.size_id_vov(false, ibias, vov_high, L_BIAS, tech.vdd - vout, vout)?;
         let perf = Performance {
             vout_v: Some(vout),
             ibias_a: Some(ibias),

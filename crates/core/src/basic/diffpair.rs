@@ -15,7 +15,6 @@
 
 use super::{cards, length_for_gain, vov_for_gm_id, L_BIAS};
 use crate::attrs::Performance;
-use crate::cache::{cached_size_for_gm_id_at, cached_size_for_id_vov_at};
 use crate::error::ApeError;
 use crate::graph::{with_thread_graph, Component, EstimationGraph};
 use ape_mos::fingerprint::Fingerprint;
@@ -42,14 +41,15 @@ impl DiffTopology {
     }
 }
 
-/// Estimation-graph node for a [`DiffPair`] design.
+/// Estimation-graph node for a [`DiffPair`] design. The op-amp attempt
+/// evaluates it directly in its own graph.
 #[derive(Debug, Clone, Copy)]
-struct DiffPairNode {
-    topology: DiffTopology,
-    adm: f64,
-    itail: f64,
-    cl: f64,
-    vov_i_sel: f64,
+pub(crate) struct DiffPairNode {
+    pub(crate) topology: DiffTopology,
+    pub(crate) adm: f64,
+    pub(crate) itail: f64,
+    pub(crate) cl: f64,
+    pub(crate) vov_i_sel: f64,
 }
 
 impl Component for DiffPairNode {
@@ -87,7 +87,7 @@ impl Component for DiffPairNode {
 
     fn compute(&self, graph: &EstimationGraph) -> Result<DiffPair, ApeError> {
         DiffPair::design_uncached(
-            graph.technology(),
+            graph,
             self.topology,
             self.adm,
             self.itail,
@@ -178,7 +178,6 @@ impl DiffPair {
         cl: f64,
         vov_i_sel: f64,
     ) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l2.diffpair");
         with_thread_graph(tech, |g| {
             g.evaluate(&DiffPairNode {
                 topology,
@@ -190,16 +189,18 @@ impl DiffPair {
         })
     }
 
-    /// [`design_with_overdrive`](Self::design_with_overdrive) without the
-    /// graph memo — the node's compute body.
+    /// The node's compute body behind
+    /// [`design_with_overdrive`](Self::design_with_overdrive): runs on a
+    /// memo miss and sizes every device in `graph`.
     fn design_uncached(
-        tech: &Technology,
+        graph: &EstimationGraph,
         topology: DiffTopology,
         adm: f64,
         itail: f64,
         cl: f64,
         vov_i_sel: f64,
     ) -> Result<Self, ApeError> {
+        let tech = graph.technology();
         let c = cards(tech)?;
         if !(adm.is_finite() && adm > 1.0) {
             return Err(ApeError::BadSpec {
@@ -238,9 +239,8 @@ impl DiffPair {
                 let aspect = gm_l * gm_l / (2.0 * c.p.kp * id);
                 let l_load = (tech.wmin / aspect).clamp(L_BIAS, 60e-6);
                 let vgs_guess = threshold(c.p, 0.0) + vov_l;
-                let mut load =
-                    cached_size_for_gm_id_at(tech, true, gm_l, id, l_load, vgs_guess, 0.0)?;
-                load = cached_size_for_gm_id_at(tech, true, gm_l, id, l_load, load.vgs.abs(), 0.0)?;
+                let mut load = graph.size_gm_id(true, gm_l, id, l_load, vgs_guess, 0.0)?;
+                load = graph.size_gm_id(true, gm_l, id, l_load, load.vgs.abs(), 0.0)?;
                 if load.geometry.w < 0.4 * tech.wmin {
                     return Err(ApeError::Infeasible {
                         component: "DiffNMOS",
@@ -252,15 +252,8 @@ impl DiffPair {
                     });
                 }
                 let vout_q = tech.vdd - load.vgs.abs();
-                let input = cached_size_for_gm_id_at(
-                    tech,
-                    false,
-                    gm_i,
-                    id,
-                    L_BIAS,
-                    (vout_q - 1.2).max(0.3),
-                    1.2,
-                )?;
+                let input =
+                    graph.size_gm_id(false, gm_i, id, L_BIAS, (vout_q - 1.2).max(0.3), 1.2)?;
                 let a = input.gm / (load.gm + input.gds + load.gds);
                 (input, load, a)
             }
@@ -279,8 +272,8 @@ impl DiffPair {
                 );
                 let l_load =
                     super::length_for_min_width(super::aspect_for_id_vov(c.p, id, 0.35), l, tech);
-                let input = cached_size_for_gm_id_at(tech, false, gm_i, id, l, vcm - 1.2, 1.2)?;
-                let load = cached_size_for_id_vov_at(tech, true, id, 0.35, l_load, 1.0, 0.0)?;
+                let input = graph.size_gm_id(false, gm_i, id, l, vcm - 1.2, 1.2)?;
+                let load = graph.size_id_vov(true, id, 0.35, l_load, 1.0, 0.0)?;
                 if input.geometry.w < 0.4 * tech.wmin || load.geometry.w < 0.4 * tech.wmin {
                     return Err(ApeError::Infeasible {
                         component: "DiffCMOS",
@@ -299,7 +292,7 @@ impl DiffPair {
         // current (the op-amp level replaces this with the real bias network).
         let l_tail =
             super::length_for_min_width(super::aspect_for_id_vov(c.n, itail, 0.35), L_BIAS, tech);
-        let tail_dev = cached_size_for_id_vov_at(tech, false, itail, 0.35, l_tail, 1.0, 0.0)?;
+        let tail_dev = graph.size_id_vov(false, itail, 0.35, l_tail, 1.0, 0.0)?;
         let gtail = tail_dev.gds;
 
         // Paper eq (6): Acm ≈ g0·gdi / (2·gml·(gdl+gdi)); eq (7):
@@ -405,7 +398,10 @@ impl DiffPair {
             L_BIAS,
             tech,
         );
-        let tail_dev = cached_size_for_id_vov_at(tech, false, self.itail, 0.35, l_tail, 1.0, 0.0)?;
+        // The testbench sizes its tail device outside any graph node.
+        let tail_dev = with_thread_graph(tech, |g| {
+            g.size_id_vov(false, self.itail, 0.35, l_tail, 1.0, 0.0)
+        })?;
         ckt.add_mosfet(
             "MTREF",
             bias,

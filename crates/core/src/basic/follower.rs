@@ -6,7 +6,6 @@
 
 use super::{cards, L_BIAS, VOV_MIRROR};
 use crate::attrs::Performance;
-use crate::cache::cached_size_for_id_vov_at;
 use crate::error::ApeError;
 use crate::graph::{with_thread_graph, Component, EstimationGraph};
 use ape_mos::fingerprint::Fingerprint;
@@ -48,7 +47,7 @@ impl Component for FollowerNode {
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<Follower, ApeError> {
-        Follower::design_uncached(graph.technology(), self.ibias, self.cl)
+        Follower::design_uncached(graph, self.ibias, self.cl)
     }
 }
 
@@ -96,13 +95,13 @@ impl Follower {
     /// * [`ApeError::BadSpec`] for a non-positive bias current.
     /// * [`ApeError::Device`] when a device cannot be sized.
     pub fn design(tech: &Technology, ibias: f64, cl: f64) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l2.follower");
         with_thread_graph(tech, |g| g.evaluate(&FollowerNode { ibias, cl }))
     }
 
-    /// [`design`](Self::design) without the graph memo — the node's
-    /// compute body.
-    fn design_uncached(tech: &Technology, ibias: f64, cl: f64) -> Result<Self, ApeError> {
+    /// The node's compute body behind [`design`](Self::design): runs on
+    /// a memo miss and evaluates every child node in `graph`.
+    fn design_uncached(graph: &EstimationGraph, ibias: f64, cl: f64) -> Result<Self, ApeError> {
+        let tech = graph.technology();
         let c = cards(tech)?;
         if !(ibias.is_finite() && ibias > 0.0) {
             return Err(ApeError::BadSpec {
@@ -114,13 +113,11 @@ impl Follower {
         // Driver: moderate overdrive for gm (gain ≈ gm/(gm+gmb) wants gm
         // large, area wants it small; 0.25 V is the classic compromise).
         let vov1 = 0.25;
-        let driver =
-            cached_size_for_id_vov_at(tech, false, ibias, vov1, L_BIAS, tech.vdd - vout_q, vout_q)?;
+        let driver = graph.size_id_vov(false, ibias, vov1, L_BIAS, tech.vdd - vout_q, vout_q)?;
         let vin_bias = vout_q + threshold(c.n, vout_q) + vov1;
         // Mirror sink.
-        let sink_ref = cached_size_for_id_vov_at(tech, false, ibias, VOV_MIRROR, L_BIAS, 1.0, 0.0)?;
-        let sink_out =
-            cached_size_for_id_vov_at(tech, false, ibias, VOV_MIRROR, L_BIAS, vout_q, 0.0)?;
+        let sink_ref = graph.size_id_vov(false, ibias, VOV_MIRROR, L_BIAS, 1.0, 0.0)?;
+        let sink_out = graph.size_id_vov(false, ibias, VOV_MIRROR, L_BIAS, vout_q, 0.0)?;
 
         let gl = sink_out.gds;
         let a = driver.gm / (driver.gm + driver.gmb + driver.gds + gl);

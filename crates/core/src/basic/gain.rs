@@ -11,7 +11,6 @@
 
 use super::{cards, length_for_gain, vov_for_gm_id, L_BIAS, VOV_MIRROR};
 use crate::attrs::Performance;
-use crate::cache::{cached_size_for_gm_id_at, cached_size_for_id_vov_at};
 use crate::error::ApeError;
 use crate::graph::{with_thread_graph, Component, EstimationGraph};
 use ape_mos::fingerprint::Fingerprint;
@@ -82,13 +81,7 @@ impl Component for GainNode {
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<GainStage, ApeError> {
-        GainStage::design_uncached(
-            graph.technology(),
-            self.topology,
-            self.gain,
-            self.ibias,
-            self.cl,
-        )
+        GainStage::design_uncached(graph, self.topology, self.gain, self.ibias, self.cl)
     }
 }
 
@@ -155,7 +148,6 @@ impl GainStage {
         ibias: f64,
         cl: f64,
     ) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l2.gain");
         with_thread_graph(tech, |g| {
             g.evaluate(&GainNode {
                 topology,
@@ -166,15 +158,16 @@ impl GainStage {
         })
     }
 
-    /// [`design`](Self::design) without the graph memo — the node's
-    /// compute body.
+    /// The node's compute body behind [`design`](Self::design): runs on
+    /// a memo miss and evaluates every child node in `graph`.
     fn design_uncached(
-        tech: &Technology,
+        graph: &EstimationGraph,
         topology: GainTopology,
         gain: f64,
         ibias: f64,
         cl: f64,
     ) -> Result<Self, ApeError> {
+        let tech = graph.technology();
         let c = cards(tech)?;
         if gain >= -1.0 {
             return Err(ApeError::BadSpec {
@@ -203,20 +196,12 @@ impl GainStage {
                         message: "no load headroom at mid-rail output".into(),
                     });
                 }
-                let load = cached_size_for_id_vov_at(
-                    tech,
-                    false,
-                    ibias,
-                    vov2,
-                    L_BIAS,
-                    tech.vdd - vout_q,
-                    vout_q,
-                )?;
+                let load =
+                    graph.size_id_vov(false, ibias, vov2, L_BIAS, tech.vdd - vout_q, vout_q)?;
                 // Gain −gm1/(gm2+gmb2).
                 let gm1 = a * (load.gm + load.gmb);
                 vov_for_gm_id("GainNMOS", gm1, ibias)?;
-                let driver =
-                    cached_size_for_gm_id_at(tech, false, gm1, ibias, L_BIAS, vout_q, 0.0)?;
+                let driver = graph.size_gm_id(false, gm1, ibias, L_BIAS, vout_q, 0.0)?;
                 let a_est = driver.gm / (load.gm + load.gmb + driver.gds + load.gds);
                 (driver, load, driver.vgs, None, a_est)
             }
@@ -227,16 +212,8 @@ impl GainStage {
                 vov_for_gm_id("GainCMOS", gm1, ibias)?;
                 let lam_sum = c.n.lambda + c.p.lambda;
                 let l = length_for_gain(a, 2.0 * ibias / gm1, lam_sum, tech);
-                let driver = cached_size_for_gm_id_at(tech, false, gm1, ibias, l, vout_q, 0.0)?;
-                let load = cached_size_for_id_vov_at(
-                    tech,
-                    true,
-                    ibias,
-                    VOV_MIRROR,
-                    l,
-                    tech.vdd - vout_q,
-                    0.0,
-                )?;
+                let driver = graph.size_gm_id(false, gm1, ibias, l, vout_q, 0.0)?;
+                let load = graph.size_id_vov(true, ibias, VOV_MIRROR, l, tech.vdd - vout_q, 0.0)?;
                 let a_est = driver.gm / (driver.gds + load.gds);
                 // PMOS gate bias for the requested current.
                 let vth_p = threshold(c.p, 0.0);
@@ -248,19 +225,10 @@ impl GainStage {
                 let vov2 = VOV_MIRROR
                     .max(tech.vdd - vout_q - threshold(c.p, 0.0))
                     .min(1.5);
-                let load = cached_size_for_id_vov_at(
-                    tech,
-                    true,
-                    ibias,
-                    vov2,
-                    L_BIAS,
-                    tech.vdd - vout_q,
-                    0.0,
-                )?;
+                let load = graph.size_id_vov(true, ibias, vov2, L_BIAS, tech.vdd - vout_q, 0.0)?;
                 let gm1 = a * load.gm;
                 vov_for_gm_id("GainCMOSH", gm1, ibias)?;
-                let driver =
-                    cached_size_for_gm_id_at(tech, false, gm1, ibias, L_BIAS, vout_q, 0.0)?;
+                let driver = graph.size_gm_id(false, gm1, ibias, L_BIAS, vout_q, 0.0)?;
                 let a_est = driver.gm / (load.gm + driver.gds + load.gds);
                 (driver, load, driver.vgs, None, a_est)
             }

@@ -5,7 +5,6 @@
 
 use super::{cards, L_BIAS, VOV_MIRROR};
 use crate::attrs::Performance;
-use crate::cache::cached_size_for_id_vov_at;
 use crate::error::ApeError;
 use crate::graph::{with_thread_graph, Component, EstimationGraph};
 use ape_mos::fingerprint::Fingerprint;
@@ -78,7 +77,7 @@ impl Component for MirrorNode {
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<CurrentMirror, ApeError> {
-        CurrentMirror::design_uncached(graph.technology(), self.topology, self.iref, self.ratio)
+        CurrentMirror::design_uncached(graph, self.topology, self.iref, self.ratio)
     }
 }
 
@@ -135,7 +134,6 @@ impl CurrentMirror {
         iref: f64,
         ratio: f64,
     ) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l2.mirror");
         with_thread_graph(tech, |g| {
             g.evaluate(&MirrorNode {
                 topology,
@@ -145,14 +143,15 @@ impl CurrentMirror {
         })
     }
 
-    /// [`design`](Self::design) without the graph memo — the node's
-    /// compute body.
+    /// The node's compute body behind [`design`](Self::design): runs on
+    /// a memo miss and evaluates every child node in `graph`.
     fn design_uncached(
-        tech: &Technology,
+        graph: &EstimationGraph,
         topology: MirrorTopology,
         iref: f64,
         ratio: f64,
     ) -> Result<Self, ApeError> {
+        let tech = graph.technology();
         cards(tech)?;
         if !(iref.is_finite() && iref > 0.0) {
             return Err(ApeError::BadSpec {
@@ -167,24 +166,21 @@ impl CurrentMirror {
             });
         }
         let iout = iref * ratio;
-        let m_in = cached_size_for_id_vov_at(tech, false, iref, VOV_MIRROR, L_BIAS, 2.5, 0.0)?;
-        let m_out = cached_size_for_id_vov_at(tech, false, iout, VOV_MIRROR, L_BIAS, 2.5, 0.0)?;
+        let m_in = graph.size_id_vov(false, iref, VOV_MIRROR, L_BIAS, 2.5, 0.0)?;
+        let m_out = graph.size_id_vov(false, iout, VOV_MIRROR, L_BIAS, 2.5, 0.0)?;
         let mut devices = vec![m_in, m_out];
         let zout = match topology {
             MirrorTopology::Simple => 1.0 / m_out.gds,
             MirrorTopology::Wilson => {
                 // The feedback loop multiplies ro by the cascode device's
                 // intrinsic gain (÷2 from the diode in the loop).
-                let m_casc =
-                    cached_size_for_id_vov_at(tech, false, iout, VOV_MIRROR, L_BIAS, 1.5, 1.1)?;
+                let m_casc = graph.size_id_vov(false, iout, VOV_MIRROR, L_BIAS, 1.5, 1.1)?;
                 devices.push(m_casc);
                 m_casc.gm / (m_casc.gds * m_out.gds) / 2.0
             }
             MirrorTopology::Cascode => {
-                let m_casc_ref =
-                    cached_size_for_id_vov_at(tech, false, iref, VOV_MIRROR, L_BIAS, 1.1, 1.1)?;
-                let m_casc_out =
-                    cached_size_for_id_vov_at(tech, false, iout, VOV_MIRROR, L_BIAS, 1.5, 1.1)?;
+                let m_casc_ref = graph.size_id_vov(false, iref, VOV_MIRROR, L_BIAS, 1.1, 1.1)?;
+                let m_casc_out = graph.size_id_vov(false, iout, VOV_MIRROR, L_BIAS, 1.5, 1.1)?;
                 devices.push(m_casc_ref);
                 devices.push(m_casc_out);
                 m_casc_out.gm / (m_casc_out.gds * m_out.gds)

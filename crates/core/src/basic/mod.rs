@@ -23,6 +23,7 @@ mod gain;
 mod mirror;
 
 pub use bias::DcVolt;
+pub(crate) use diffpair::DiffPairNode;
 pub use diffpair::{DiffPair, DiffTopology};
 pub use follower::Follower;
 pub use gain::{GainStage, GainTopology};

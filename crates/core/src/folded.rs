@@ -28,7 +28,6 @@
 
 use crate::attrs::Performance;
 use crate::basic::{cards, vov_for_gm_id, L_BIAS};
-use crate::cache::{cached_size_for_gm_id_at, cached_size_for_id_vov_at};
 use crate::error::ApeError;
 use crate::graph::{with_thread_graph, Component, EstimationGraph};
 use ape_mos::fingerprint::Fingerprint;
@@ -78,7 +77,7 @@ impl Component for FoldedNode {
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<FoldedCascodeOta, ApeError> {
-        FoldedCascodeOta::design_uncached(graph.technology(), self.spec)
+        FoldedCascodeOta::design_uncached(graph, self.spec)
     }
 }
 
@@ -150,13 +149,13 @@ impl FoldedCascodeOta {
     /// * [`ApeError::BadSpec`] for non-positive requirements.
     /// * [`ApeError::Infeasible`] when the gain or gm allocation fails.
     pub fn design(tech: &Technology, spec: FoldedCascodeSpec) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l3.folded");
         with_thread_graph(tech, |g| g.evaluate(&FoldedNode { spec }))
     }
 
-    /// [`design`](Self::design) without the graph memo — the node's
-    /// compute body.
-    fn design_uncached(tech: &Technology, spec: FoldedCascodeSpec) -> Result<Self, ApeError> {
+    /// The node's compute body behind [`design`](Self::design): runs on
+    /// a memo miss and evaluates every child node in `graph`.
+    fn design_uncached(graph: &EstimationGraph, spec: FoldedCascodeSpec) -> Result<Self, ApeError> {
+        let tech = graph.technology();
         let c = cards(tech)?;
         if !(spec.gain > 1.0 && spec.ugf_hz > 0.0 && spec.ibias > 0.0 && spec.cl > 0.0)
             || !(spec.gain.is_finite()
@@ -191,7 +190,7 @@ impl FoldedCascodeOta {
             tech.lmin.max(1.2e-6),
             tech,
         );
-        let m_pair = cached_size_for_gm_id_at(tech, false, gm1, i0, l_pair, tech.vdd / 2.0, 1.0)?;
+        let m_pair = graph.size_gm_id(false, gm1, i0, l_pair, tech.vdd / 2.0, 1.0)?;
         let l_bias = |id: f64, card: &ape_netlist::MosModelCard| {
             crate::basic::length_for_min_width(
                 crate::basic::aspect_for_id_vov(card, id, 0.35),
@@ -199,27 +198,10 @@ impl FoldedCascodeOta {
                 tech,
             )
         };
-        let mb1 = cached_size_for_id_vov_at(
-            tech,
-            false,
-            spec.ibias,
-            0.35,
-            l_bias(spec.ibias, c.n),
-            1.1,
-            0.0,
-        )?;
-        let m_tail = cached_size_for_id_vov_at(
-            tech,
-            false,
-            2.0 * i0,
-            0.35,
-            l_bias(2.0 * i0, c.n),
-            1.0,
-            0.0,
-        )?;
+        let mb1 = graph.size_id_vov(false, spec.ibias, 0.35, l_bias(spec.ibias, c.n), 1.1, 0.0)?;
+        let m_tail = graph.size_id_vov(false, 2.0 * i0, 0.35, l_bias(2.0 * i0, c.n), 1.0, 0.0)?;
         // PMOS sources carry i0+i1; long-ish channel for output resistance.
-        let m_src = cached_size_for_id_vov_at(
-            tech,
+        let m_src = graph.size_id_vov(
             true,
             i0 + i1,
             0.35,
@@ -227,10 +209,9 @@ impl FoldedCascodeOta {
             1.0,
             0.0,
         )?;
-        let m_casc = cached_size_for_id_vov_at(tech, true, i1, 0.3, l_bias(i1, c.p), 1.0, 0.5)?;
-        let m_mirror = cached_size_for_id_vov_at(tech, false, i1, vov, l_mirror, 0.3, 0.0)?;
-        let m_mcasc = cached_size_for_id_vov_at(
-            tech,
+        let m_casc = graph.size_id_vov(true, i1, 0.3, l_bias(i1, c.p), 1.0, 0.5)?;
+        let m_mirror = graph.size_id_vov(false, i1, vov, l_mirror, 0.3, 0.0)?;
+        let m_mcasc = graph.size_id_vov(
             false,
             i1,
             0.3,

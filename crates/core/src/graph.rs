@@ -7,8 +7,19 @@
 //! [`Component`] node whose inputs are condensed into a bit-exact
 //! [fingerprint](Component::fingerprint), and the [`EstimationGraph`]
 //! memoizes each node's result under `(kind, fingerprint)`. Parent nodes
-//! declare their [children](Component::children), so the graph knows the
-//! DAG shape and can report per-node traffic.
+//! declare their [children](Component::children) and evaluate them in the
+//! graph their [`compute`](Component::compute) is handed, so
+//! [`EstimationGraph::evaluate`] is the one route to every node, from an
+//! L4 module down to an L1 sizing solve.
+//!
+//! At level 1 this is the paper's object store (§4.1): *"The sized
+//! transistor is saved as an object which contains the size and
+//! performance parameters. Several objects can be generated with
+//! different operating points as they are needed to construct the other
+//! levels in the circuit hierarchy."* Sizing requests are the
+//! [`SizeForGmId`] and [`SizeForIdVov`] nodes (see
+//! [`EstimationGraph::size_gm_id`] and [`EstimationGraph::size_id_vov`]),
+//! memoized beside every higher-level node.
 //!
 //! Two properties follow directly from bit-exact fingerprints:
 //!
@@ -25,7 +36,9 @@
 //! Per-node hits, misses, and dirty recomputes are counted in
 //! [`NodeStats`] and mirrored to `ape-probe` counters
 //! (`ape.graph.<kind>.hit` / `.miss` / `.dirty`), so `APE_TRACE=summary`
-//! shows exactly which levels of the hierarchy the memo is saving.
+//! shows exactly which levels of the hierarchy the memo is saving. Every
+//! evaluation, hit or miss, also opens one `ape.<kind>` span, so a trace
+//! shows the node tree itself.
 //!
 //! # Sharing memos across threads
 //!
@@ -55,9 +68,13 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default per-kind memo capacity: comfortably above what a whole table
-/// reproduction touches per node kind, small enough that a million-point
-/// sweep cannot grow a worker's graph without bound.
+/// Per-kind memo capacity of every [`EstimationGraph`]: comfortably above
+/// what a whole table reproduction touches per node kind, small enough
+/// that a million-point sweep cannot grow a worker's graph without bound.
+/// When a kind fills up, its whole generation is dropped at once — sound
+/// because a recompute is bit-identical to the dropped entry, and per-kind
+/// so that churn in one level (e.g. thousands of annealing candidates)
+/// cannot evict hot entries at another.
 pub const DEFAULT_KIND_CAPACITY: usize = 4096;
 
 /// A node in the estimation graph.
@@ -94,7 +111,8 @@ pub trait Component {
 
     /// Designs/estimates this node from its inputs. Called only on a memo
     /// miss; must be a pure function of the fingerprinted inputs plus the
-    /// graph's technology.
+    /// graph's technology. Child nodes are evaluated in `graph` itself, so
+    /// they share its memo, calibration and shared store.
     ///
     /// # Errors
     ///
@@ -194,6 +212,8 @@ struct KindMemo {
     /// graphs agree on the tag regardless of where the `&'static str`
     /// lives.
     shared_tag: u64,
+    /// `ape.<kind>`: the span every evaluation of this kind opens.
+    span: &'static str,
     hit_ctr: &'static str,
     shared_hit_ctr: &'static str,
     miss_ctr: &'static str,
@@ -220,20 +240,21 @@ impl KindMemo {
                 .u64(calib_fp)
                 .str(kind)
                 .finish(),
-            hit_ctr: interned_counter(kind, "hit"),
-            shared_hit_ctr: interned_counter(kind, "shared_hit"),
-            miss_ctr: interned_counter(kind, "miss"),
-            dirty_ctr: interned_counter(kind, "dirty"),
+            span: interned(format!("ape.{kind}")),
+            hit_ctr: interned(format!("ape.graph.{kind}.hit")),
+            shared_hit_ctr: interned(format!("ape.graph.{kind}.shared_hit")),
+            miss_ctr: interned(format!("ape.graph.{kind}.miss")),
+            dirty_ctr: interned(format!("ape.graph.{kind}.dirty")),
         }
     }
 }
 
-/// Returns a `'static` counter name `ape.graph.<kind>.<event>`, leaking
-/// each distinct name at most once per process (the set of kinds is small
-/// and fixed, so the leak is bounded).
-fn interned_counter(kind: &str, event: &str) -> &'static str {
+/// Returns `name` as a `'static` probe name (a node's span or one of its
+/// `ape.graph.<kind>.<event>` counters), leaking each distinct name at
+/// most once per process (the set of kinds is small and fixed, so the
+/// leak is bounded).
+fn interned(name: String) -> &'static str {
     static INTERNED: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
-    let name = format!("ape.graph.{kind}.{event}");
     let table = INTERNED.get_or_init(|| Mutex::new(HashMap::new()));
     let mut table = match table.lock() {
         Ok(t) => t,
@@ -256,6 +277,9 @@ const SHARED_SHARDS: usize = 16;
 /// shards): an order of magnitude above the per-thread default so a
 /// service's resident store outlives any single sweep.
 pub const DEFAULT_SHARED_CAPACITY: usize = 64 * 1024;
+
+/// Entries one [`SharedMemo`] shard holds before it drops a generation.
+const SHARD_CAPACITY: usize = DEFAULT_SHARED_CAPACITY / SHARED_SHARDS;
 
 /// Lifetime counters of a [`SharedMemo`] (monotonic, racy reads).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -283,12 +307,12 @@ type SharedShard = HashMap<(u64, u64), Arc<dyn Any + Send + Sync>>;
 ///
 /// Sharing is sound for the same reason per-thread memoization is:
 /// every value is a pure function of its bit-exact key, so a value
-/// computed on any thread is bit-identical to a local recompute. Each
-/// shard holds at most `capacity / SHARED_SHARDS` entries and drops its
-/// whole generation when full — recomputes repopulate it losslessly.
+/// computed on any thread is bit-identical to a local recompute. Each of
+/// the 16 shards holds at most a sixteenth of [`DEFAULT_SHARED_CAPACITY`]
+/// and drops its whole generation when full — recomputes repopulate it
+/// losslessly.
 pub struct SharedMemo {
     shards: Vec<Mutex<SharedShard>>,
-    shard_capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
@@ -311,19 +335,13 @@ impl Default for SharedMemo {
 }
 
 impl SharedMemo {
-    /// An empty store with [`DEFAULT_SHARED_CAPACITY`] total entries.
+    /// An empty store holding at most [`DEFAULT_SHARED_CAPACITY`] entries
+    /// across all shards.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_SHARED_CAPACITY)
-    }
-
-    /// An empty store holding at most `capacity` entries across all
-    /// shards (minimum one per shard).
-    pub fn with_capacity(capacity: usize) -> Self {
         SharedMemo {
             shards: (0..SHARED_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
-            shard_capacity: (capacity / SHARED_SHARDS).max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
@@ -354,7 +372,7 @@ impl SharedMemo {
     fn insert(&self, tag: u64, fp: u64, value: Arc<dyn Any + Send + Sync>) {
         let shard = self.shard(tag, fp);
         let mut guard = shard.lock().unwrap_or_else(|e| e.into_inner());
-        if guard.len() >= self.shard_capacity && !guard.contains_key(&(tag, fp)) {
+        if guard.len() >= SHARD_CAPACITY && !guard.contains_key(&(tag, fp)) {
             // Generation drop, same argument as the per-kind memo:
             // recomputes are bit-identical, so no recency bookkeeping.
             let dropped = guard.len() as u64;
@@ -427,7 +445,6 @@ pub struct EstimationGraph {
     tech: Technology,
     tech_fp: u64,
     kinds: RefCell<BTreeMap<&'static str, KindMemo>>,
-    kind_capacity: usize,
     shared: Option<Arc<SharedMemo>>,
     /// Correction table applied by [`Component::calibrate`]; `None` (and
     /// `calib_fp == 0`) for uncalibrated estimation.
@@ -447,59 +464,26 @@ impl std::fmt::Debug for EstimationGraph {
 }
 
 impl EstimationGraph {
-    /// Creates an empty graph for `tech` with the default per-kind
-    /// capacity.
-    pub fn new(tech: &Technology) -> Self {
-        Self::with_kind_capacity(tech, DEFAULT_KIND_CAPACITY)
-    }
-
-    /// Creates an empty graph holding at most `kind_capacity` memoized
-    /// results per node kind (minimum 1). When a kind fills up, its whole
-    /// generation is dropped at once — sound because a recompute is
-    /// bit-identical to the dropped entry, and per-kind so that churn in
-    /// one level (e.g. thousands of annealing candidates) cannot evict
-    /// hot entries at another.
-    pub fn with_kind_capacity(tech: &Technology, kind_capacity: usize) -> Self {
+    /// Creates an empty graph for `tech`, holding at most
+    /// [`DEFAULT_KIND_CAPACITY`] results per node kind.
+    ///
+    /// With `shared`, local misses read through that cross-thread store
+    /// and computed values are published back to it. With `calib`, every
+    /// node applies the table's corrections (see [`Component::calibrate`])
+    /// and the table's content fingerprint folds into all memo keys.
+    pub fn new(
+        tech: &Technology,
+        shared: Option<Arc<SharedMemo>>,
+        calib: Option<Arc<Calibration>>,
+    ) -> Self {
         EstimationGraph {
             tech: tech.clone(),
             tech_fp: tech.fingerprint(),
             kinds: RefCell::new(BTreeMap::new()),
-            kind_capacity: kind_capacity.max(1),
-            shared: None,
-            calib: None,
-            calib_fp: 0,
+            shared,
+            calib_fp: calib.as_ref().map_or(0, |c| c.fingerprint()),
+            calib,
         }
-    }
-
-    /// Creates an empty graph backed by `memo`: local misses read through
-    /// the shared store, and computed values are published back to it.
-    pub fn with_shared(tech: &Technology, memo: Arc<SharedMemo>) -> Self {
-        let mut g = Self::new(tech);
-        g.shared = Some(memo);
-        g
-    }
-
-    /// Creates an empty graph that applies `calib` inside every node (see
-    /// [`Component::calibrate`]). The table's content fingerprint folds
-    /// into all memo keys.
-    pub fn with_calibration(tech: &Technology, calib: Arc<Calibration>) -> Self {
-        let mut g = Self::new(tech);
-        g.calib_fp = calib.fingerprint();
-        g.calib = Some(calib);
-        g
-    }
-
-    /// Attaches both a shared store and a calibration table.
-    pub fn with_shared_and_calibration(
-        tech: &Technology,
-        memo: Arc<SharedMemo>,
-        calib: Option<Arc<Calibration>>,
-    ) -> Self {
-        let mut g = Self::new(tech);
-        g.shared = Some(memo);
-        g.calib_fp = calib.as_ref().map_or(0, |c| c.fingerprint());
-        g.calib = calib;
-        g
     }
 
     /// The attached cross-thread store, if any.
@@ -528,11 +512,6 @@ impl EstimationGraph {
         self.tech_fp
     }
 
-    /// The per-kind capacity bound (entries, not bytes).
-    pub fn kind_capacity(&self) -> usize {
-        self.kind_capacity
-    }
-
     /// Model card lookup on the bound technology.
     ///
     /// # Errors
@@ -546,23 +525,72 @@ impl EstimationGraph {
         }
     }
 
+    /// Level-1 gm/Id sizing: evaluates a [`SizeForGmId`] node in this
+    /// graph.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the solver's errors (errors are not memoized).
+    pub fn size_gm_id(
+        &self,
+        pmos: bool,
+        gm: f64,
+        id: f64,
+        l: f64,
+        vds: f64,
+        vsb: f64,
+    ) -> Result<SizedMos, ApeError> {
+        self.evaluate(&SizeForGmId {
+            pmos,
+            gm,
+            id,
+            l,
+            vds,
+            vsb,
+        })
+    }
+
+    /// Level-1 Id/Vov sizing: evaluates a [`SizeForIdVov`] node in this
+    /// graph.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the solver's errors (errors are not memoized).
+    pub fn size_id_vov(
+        &self,
+        pmos: bool,
+        id: f64,
+        vov: f64,
+        l: f64,
+        vds: f64,
+        vsb: f64,
+    ) -> Result<SizedMos, ApeError> {
+        self.evaluate(&SizeForIdVov {
+            pmos,
+            id,
+            vov,
+            l,
+            vds,
+            vsb,
+        })
+    }
+
     /// Evaluates `component`, answering from the memo when its
     /// `(kind, fingerprint)` was seen before and computing (then
-    /// memoizing) otherwise. Nested child evaluations through the same
-    /// graph are fine — no memo lock is held while
-    /// [`Component::compute`] runs.
+    /// memoizing) otherwise. Every call opens one `ape.<kind>` span that
+    /// stays open over the compute, so child nodes — which
+    /// [`Component::compute`] evaluates through this same graph — nest
+    /// under it. No memo borrow is held while the compute runs.
     ///
     /// # Errors
     ///
     /// Propagates [`Component::compute`]'s error; errors are not memoized.
     pub fn evaluate<C: Component>(&self, component: &C) -> Result<C::Output, ApeError> {
-        let kind = component.kind();
         let fp = component.fingerprint();
-        let shared_tag = {
+        let (_span, shared_tag) = {
             let mut kinds = self.kinds.borrow_mut();
-            let memo = kinds.entry(kind).or_insert_with(|| {
-                KindMemo::new(kind, component.children(), self.tech_fp, self.calib_fp)
-            });
+            let memo = self.kind_memo(&mut kinds, component);
+            let span = ape_probe::span(memo.span);
             if let Some(found) = memo.entries.get(&fp) {
                 if let Some(out) = found.downcast_ref::<C::Output>() {
                     memo.stats.hits += 1;
@@ -571,7 +599,7 @@ impl EstimationGraph {
                     return Ok(out.clone());
                 }
             }
-            memo.shared_tag
+            (span, memo.shared_tag)
         };
         // Local miss: another thread may have computed this node already.
         if let Some(store) = &self.shared {
@@ -579,21 +607,18 @@ impl EstimationGraph {
                 if let Some(out) = found.downcast_ref::<C::Output>() {
                     let out = out.clone();
                     let mut kinds = self.kinds.borrow_mut();
-                    if let Some(memo) = kinds.get_mut(kind) {
-                        memo.stats.shared_hits += 1;
-                        ape_probe::counter("ape.graph.shared.hit", 1);
-                        ape_probe::counter(memo.shared_hit_ctr, 1);
-                        Self::insert_local(memo, self.kind_capacity, fp, Rc::new(out.clone()));
-                    }
+                    let memo = self.kind_memo(&mut kinds, component);
+                    memo.stats.shared_hits += 1;
+                    ape_probe::counter("ape.graph.shared.hit", 1);
+                    ape_probe::counter(memo.shared_hit_ctr, 1);
+                    Self::insert_local(memo, fp, Rc::new(out.clone()));
                     return Ok(out);
                 }
             }
         }
         {
             let mut kinds = self.kinds.borrow_mut();
-            let memo = kinds.entry(kind).or_insert_with(|| {
-                KindMemo::new(kind, component.children(), self.tech_fp, self.calib_fp)
-            });
+            let memo = self.kind_memo(&mut kinds, component);
             memo.stats.misses += 1;
             ape_probe::counter("ape.graph.miss", 1);
             ape_probe::counter(memo.miss_ctr, 1);
@@ -603,8 +628,8 @@ impl EstimationGraph {
                 ape_probe::counter(memo.dirty_ctr, 1);
             }
         }
-        // The memo lock is released: compute may recurse into evaluate()
-        // for child nodes of this same graph.
+        // The memo borrow is released: compute evaluates its child nodes
+        // through this same graph.
         let mut out = component.compute(self)?;
         // Corrections apply before memoization so memos hold calibrated
         // values — keys include the table fingerprint, so calibrated and
@@ -618,15 +643,25 @@ impl EstimationGraph {
             ape_probe::counter("ape.graph.shared.insert", 1);
         }
         let mut kinds = self.kinds.borrow_mut();
-        let memo = kinds.entry(kind).or_insert_with(|| {
-            KindMemo::new(kind, component.children(), self.tech_fp, self.calib_fp)
-        });
-        Self::insert_local(memo, self.kind_capacity, fp, Rc::new(out.clone()));
+        let memo = self.kind_memo(&mut kinds, component);
+        Self::insert_local(memo, fp, Rc::new(out.clone()));
         Ok(out)
     }
 
-    fn insert_local(memo: &mut KindMemo, capacity: usize, fp: u64, value: Rc<dyn Any>) {
-        if memo.entries.len() >= capacity && !memo.entries.contains_key(&fp) {
+    /// `component`'s kind memo, created on the kind's first request.
+    fn kind_memo<'k, C: Component>(
+        &self,
+        kinds: &'k mut BTreeMap<&'static str, KindMemo>,
+        component: &C,
+    ) -> &'k mut KindMemo {
+        let kind = component.kind();
+        kinds.entry(kind).or_insert_with(|| {
+            KindMemo::new(kind, component.children(), self.tech_fp, self.calib_fp)
+        })
+    }
+
+    fn insert_local(memo: &mut KindMemo, fp: u64, value: Rc<dyn Any>) {
+        if memo.entries.len() >= DEFAULT_KIND_CAPACITY && !memo.entries.contains_key(&fp) {
             // Generation drop: recomputes are bit-identical, so clearing
             // the kind wholesale needs no recency bookkeeping.
             let dropped = memo.entries.len();
@@ -727,10 +762,10 @@ impl EstimationGraph {
 
 thread_local! {
     /// One shared graph slot per thread, tagged with the fingerprints of
-    /// the technology *and calibration table* it was built for. Estimator
-    /// entry points route through it so repeated (sub)designs reuse
-    /// memoized nodes, as the paper's §4.1 object store does —
-    /// generalised to every level.
+    /// the technology *and calibration table* it was built for. Public
+    /// estimator entry points enter it once per call so repeated
+    /// (sub)designs reuse memoized nodes, as the paper's §4.1 object store
+    /// does — generalised to every level.
     static CURRENT: RefCell<Option<(u64, u64, Rc<EstimationGraph>)>> = const { RefCell::new(None) };
     /// Cross-thread store this thread's graphs attach to at creation;
     /// installed by pool workers via [`set_thread_shared_memo`].
@@ -747,9 +782,10 @@ thread_local! {
 /// installed via [`set_thread_calibration`] are attached to every graph
 /// created here.
 ///
-/// The slot's borrow is released before `f` runs, so nested
-/// `with_thread_graph` calls (an op-amp node designing a diff pair which
-/// sizes transistors) all see the same graph instance.
+/// Each public estimator entry point calls this once; the nodes below it
+/// evaluate their children in the graph `f` is handed. The slot's borrow
+/// is released before `f` runs, so a nested call still sees the same
+/// graph instance.
 pub fn with_thread_graph<R>(tech: &Technology, f: impl FnOnce(&EstimationGraph) -> R) -> R {
     let fp = tech.fingerprint();
     let cal_fp = CALIB_OVERRIDE.with(|c| c.borrow().as_ref().map_or(0, |cal| cal.fingerprint()));
@@ -758,15 +794,11 @@ pub fn with_thread_graph<R>(tech: &Technology, f: impl FnOnce(&EstimationGraph) 
         match &*slot {
             Some((have, have_cal, graph)) if *have == fp && *have_cal == cal_fp => Rc::clone(graph),
             _ => {
-                let shared = SHARED_OVERRIDE.with(|s| s.borrow().clone());
-                let calib = CALIB_OVERRIDE.with(|c| c.borrow().clone());
-                let graph = Rc::new(match (shared, calib) {
-                    (Some(memo), calib) => {
-                        EstimationGraph::with_shared_and_calibration(tech, memo, calib)
-                    }
-                    (None, Some(cal)) => EstimationGraph::with_calibration(tech, cal),
-                    (None, None) => EstimationGraph::new(tech),
-                });
+                let graph = Rc::new(EstimationGraph::new(
+                    tech,
+                    thread_shared_memo(),
+                    thread_calibration(),
+                ));
                 *slot = Some((fp, cal_fp, Rc::clone(&graph)));
                 graph
             }
@@ -776,15 +808,26 @@ pub fn with_thread_graph<R>(tech: &Technology, f: impl FnOnce(&EstimationGraph) 
 }
 
 /// Installs (or removes) the [`SharedMemo`] this thread's graphs read
-/// through, dropping any existing thread graph so the setting takes
-/// effect on the next evaluation. Farm workers call this once at pool
-/// start when `FarmConfig::shared_graph` is enabled — which is also what
-/// removes the per-worker warm-up cost: the first job on every other
+/// through. Installing the store that is already attached (by `Arc`
+/// identity, or `None` over `None`) changes nothing, so a per-job caller
+/// keeps this thread's warm graph; a different store drops the thread
+/// graph so the next evaluation attaches it.
+///
+/// Farm jobs and [`evaluate_many`] tasks call this per task on shared
+/// executor threads. With `FarmConfig::shared_graph` enabled that is also
+/// what removes the per-worker warm-up cost: the first job on every other
 /// worker finds the first worker's subtrees in the shared store instead
 /// of cold-computing them.
 pub fn set_thread_shared_memo(memo: Option<Arc<SharedMemo>>) {
-    CURRENT.with(|slot| *slot.borrow_mut() = None);
-    SHARED_OVERRIDE.with(|s| *s.borrow_mut() = memo);
+    let same = SHARED_OVERRIDE.with(|s| match (&*s.borrow(), &memo) {
+        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+        (None, None) => true,
+        _ => false,
+    });
+    if !same {
+        CURRENT.with(|slot| *slot.borrow_mut() = None);
+        SHARED_OVERRIDE.with(|s| *s.borrow_mut() = memo);
+    }
 }
 
 /// The [`SharedMemo`] this thread's graphs attach to, if any.
@@ -792,31 +835,13 @@ pub fn thread_shared_memo() -> Option<Arc<SharedMemo>> {
     SHARED_OVERRIDE.with(|s| s.borrow().clone())
 }
 
-/// Installs `memo` like [`set_thread_shared_memo`] — but only when it
-/// differs (by `Arc` identity) from what is already installed, preserving
-/// this thread's warm graph when nothing changes.
-///
-/// This is the per-task idiom on shared executor threads: a worker serves
-/// jobs from many sources (farm jobs, `evaluate_many` fan-outs), each of
-/// which asserts its memo before evaluating. Consecutive tasks from the
-/// same source keep the thread's memoized subtrees; a task from a
-/// different source swaps stores and pays one graph rebuild.
-pub fn ensure_thread_shared_memo(memo: Option<Arc<SharedMemo>>) {
-    let same = SHARED_OVERRIDE.with(|s| match (&*s.borrow(), &memo) {
-        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-        (None, None) => true,
-        _ => false,
-    });
-    if !same {
-        set_thread_shared_memo(memo);
-    }
-}
-
 /// Installs (or removes) the [`Calibration`] this thread's graphs apply.
 /// The current thread graph keeps running until the next
 /// [`with_thread_graph`] call notices the fingerprint change and rebuilds
 /// — entries under the old table stay keyed to it and can never answer a
-/// calibrated lookup (or vice versa).
+/// calibrated lookup (or vice versa). A table whose content fingerprint
+/// matches the installed one (say, reloaded from disk) keeps this
+/// thread's warm graph, so per-job callers pay nothing.
 pub fn set_thread_calibration(calib: Option<Arc<Calibration>>) {
     CALIB_OVERRIDE.with(|c| *c.borrow_mut() = calib);
 }
@@ -826,29 +851,14 @@ pub fn thread_calibration() -> Option<Arc<Calibration>> {
     CALIB_OVERRIDE.with(|c| c.borrow().clone())
 }
 
-/// Installs `calib` like [`set_thread_calibration`] — but only when its
-/// *content fingerprint* differs from what is already installed. Compared
-/// by fingerprint (not `Arc` identity) so a table reloaded from disk that
-/// fits bit-identically keeps this thread's warm graph.
-pub fn ensure_thread_calibration(calib: Option<Arc<Calibration>>) {
-    let same = CALIB_OVERRIDE.with(|c| match (&*c.borrow(), &calib) {
-        (Some(a), Some(b)) => a.fingerprint() == b.fingerprint(),
-        (None, None) => true,
-        _ => false,
-    });
-    if !same {
-        set_thread_calibration(calib);
-    }
-}
-
 /// Evaluates independent components as executor tasks, returning results
 /// in input order.
 ///
-/// Each task re-installs the submitting thread's [`SharedMemo`] (via
-/// [`ensure_thread_shared_memo`]) and cancellation token on whichever
-/// worker runs it, evaluates through that worker's thread graph, and
-/// publishes shared-eligible subtrees — so concurrent lanes warm each
-/// other exactly as sequential evaluation warms later iterations.
+/// Each task re-installs the submitting thread's [`SharedMemo`],
+/// [`Calibration`] and cancellation token on whichever worker runs it,
+/// evaluates through that worker's thread graph, and publishes
+/// shared-eligible subtrees — so concurrent lanes warm each other exactly
+/// as sequential evaluation warms later iterations.
 /// Because every node is a pure memoized function of its fingerprint,
 /// the results are bit-identical to a sequential
 /// `components.iter().map(|c| with_thread_graph(tech, |g| g.evaluate(c)))`
@@ -885,8 +895,8 @@ where
                 // Carry the submitter's cancellation across the executor
                 // boundary; the guard restores the worker's own token.
                 let _cancel_guard = token.map(crate::cancel::set_current);
-                ensure_thread_shared_memo(memo);
-                ensure_thread_calibration(calib);
+                set_thread_shared_memo(memo);
+                set_thread_calibration(calib);
                 *slot = Some(with_thread_graph(tech, |g| g.evaluate(c)));
             });
         }
@@ -1040,10 +1050,30 @@ mod tests {
         }
     }
 
+    /// A trivial leaf whose output is its own key: fills a kind to the
+    /// real capacity bounds without running the sizing solver.
+    struct Echo(u64);
+
+    impl Component for Echo {
+        type Output = u64;
+
+        fn kind(&self) -> &'static str {
+            "test.echo"
+        }
+
+        fn fingerprint(&self) -> u64 {
+            self.0
+        }
+
+        fn compute(&self, _graph: &EstimationGraph) -> Result<u64, ApeError> {
+            Ok(self.0)
+        }
+    }
+
     #[test]
     fn repeat_evaluations_hit() {
         let tech = Technology::default_1p2um();
-        let graph = EstimationGraph::new(&tech);
+        let graph = EstimationGraph::new(&tech, None, None);
         let a = graph.evaluate(&node(10e-6)).unwrap();
         let b = graph.evaluate(&node(10e-6)).unwrap();
         assert_eq!(a.geometry, b.geometry);
@@ -1057,7 +1087,7 @@ mod tests {
     #[test]
     fn changed_inputs_are_dirty_recomputes() {
         let tech = Technology::default_1p2um();
-        let graph = EstimationGraph::new(&tech);
+        let graph = EstimationGraph::new(&tech, None, None);
         graph.evaluate(&node(10e-6)).unwrap();
         graph.evaluate(&node(20e-6)).unwrap();
         let t = graph.totals();
@@ -1065,12 +1095,27 @@ mod tests {
         // The second miss found the kind populated: an input-change
         // recompute, not a cold start.
         assert_eq!(t.dirty, 1);
+
+        // Distinct gm/Id points stay distinct: another gm, and the same
+        // point on the other polarity, each solve afresh.
+        let a = graph
+            .size_gm_id(false, 100e-6, 10e-6, 2.4e-6, 2.5, 0.0)
+            .unwrap();
+        let b = graph
+            .size_gm_id(false, 200e-6, 10e-6, 2.4e-6, 2.5, 0.0)
+            .unwrap();
+        let c = graph
+            .size_gm_id(true, 100e-6, 10e-6, 2.4e-6, 2.5, 0.0)
+            .unwrap();
+        assert_ne!(a.geometry.w, b.geometry.w);
+        assert_ne!(a.geometry.w, c.geometry.w);
+        assert_eq!(graph.totals().misses, 5);
     }
 
     #[test]
     fn memoized_results_are_bit_identical_to_direct_solves() {
         let tech = Technology::default_1p2um();
-        let graph = EstimationGraph::new(&tech);
+        let graph = EstimationGraph::new(&tech, None, None);
         let warm = {
             graph.evaluate(&node(50e-6)).unwrap();
             graph.evaluate(&node(50e-6)).unwrap()
@@ -1084,7 +1129,7 @@ mod tests {
     #[test]
     fn errors_are_not_memoized() {
         let tech = Technology::default_1p2um();
-        let graph = EstimationGraph::new(&tech);
+        let graph = EstimationGraph::new(&tech, None, None);
         let bad = SizeForGmId {
             pmos: false,
             gm: 1e-6,
@@ -1102,22 +1147,23 @@ mod tests {
     #[test]
     fn kind_capacity_drops_a_generation() {
         let tech = Technology::default_1p2um();
-        let graph = EstimationGraph::with_kind_capacity(&tech, 3);
-        assert_eq!(graph.kind_capacity(), 3);
-        for (i, id) in [10e-6, 20e-6, 40e-6, 80e-6].iter().enumerate() {
-            graph.evaluate(&node(*id)).unwrap();
-            assert!(graph.len() <= 3, "len {} after insert {i}", graph.len());
+        let graph = EstimationGraph::new(&tech, None, None);
+        let full = DEFAULT_KIND_CAPACITY as u64;
+        for i in 0..=full {
+            graph.evaluate(&Echo(i)).unwrap();
+            assert!(graph.len() <= DEFAULT_KIND_CAPACITY, "len after insert {i}");
         }
         let t = graph.totals();
-        assert_eq!(t.misses, 4);
-        // The fourth insert found the kind full and dropped the whole
-        // generation (3 entries) before memoizing itself.
-        assert_eq!(t.evictions, 3);
-        // Dropped points re-solve...
-        graph.evaluate(&node(10e-6)).unwrap();
-        assert_eq!(graph.totals().misses, 5);
-        // ...while the newest (80 µA, memoized after the drop) still hits.
-        graph.evaluate(&node(80e-6)).unwrap();
+        assert_eq!(t.misses, DEFAULT_KIND_CAPACITY + 1);
+        // The last insert found the kind full and dropped the whole
+        // generation before memoizing itself.
+        assert_eq!(t.evictions, DEFAULT_KIND_CAPACITY);
+        assert_eq!(graph.len(), 1);
+        // Dropped entries recompute...
+        graph.evaluate(&Echo(0)).unwrap();
+        assert_eq!(graph.totals().misses, DEFAULT_KIND_CAPACITY + 2);
+        // ...while the newest (memoized after the drop) still hits.
+        assert_eq!(graph.evaluate(&Echo(full)).unwrap(), full);
         assert_eq!(graph.totals().hits, 1);
         assert!(graph.report().contains("evicted"));
     }
@@ -1126,7 +1172,7 @@ mod tests {
     fn eviction_is_per_kind() {
         // Filling one kind must not evict another kind's entries.
         let tech = Technology::default_1p2um();
-        let graph = EstimationGraph::with_kind_capacity(&tech, 2);
+        let graph = EstimationGraph::new(&tech, None, None);
         let gm_node = SizeForGmId {
             pmos: false,
             gm: 100e-6,
@@ -1136,12 +1182,14 @@ mod tests {
             vsb: 0.0,
         };
         graph.evaluate(&gm_node).unwrap();
-        for id in [10e-6, 20e-6, 40e-6, 80e-6] {
-            graph.evaluate(&node(id)).unwrap();
+        for i in 0..=DEFAULT_KIND_CAPACITY as u64 {
+            graph.evaluate(&Echo(i)).unwrap();
         }
-        // l1.id_vov churned past its bound; l1.gm_id still hits.
+        // test.echo churned past its bound; l1.gm_id still hits.
         graph.evaluate(&gm_node).unwrap();
         let by_kind = graph.stats();
+        let echo = by_kind.iter().find(|k| k.kind == "test.echo").unwrap();
+        assert_eq!(echo.stats.evictions, DEFAULT_KIND_CAPACITY);
         let gm = by_kind.iter().find(|k| k.kind == "l1.gm_id").unwrap();
         assert_eq!(gm.stats.hits, 1);
         assert_eq!(gm.stats.evictions, 0);
@@ -1150,16 +1198,20 @@ mod tests {
     #[test]
     fn clear_keeps_stats_and_resets_entries() {
         let tech = Technology::default_1p2um();
-        let graph = EstimationGraph::with_kind_capacity(&tech, 2);
-        graph.evaluate(&node(10e-6)).unwrap();
-        graph.evaluate(&node(20e-6)).unwrap();
+        let graph = EstimationGraph::new(&tech, None, None);
+        let full = DEFAULT_KIND_CAPACITY as u64;
+        for i in 0..full {
+            graph.evaluate(&Echo(i)).unwrap();
+        }
         graph.clear();
         assert!(graph.is_empty());
-        assert_eq!(graph.totals().misses, 2);
-        // A cleared kind starts a fresh generation: no phantom evictions.
-        graph.evaluate(&node(40e-6)).unwrap();
-        graph.evaluate(&node(80e-6)).unwrap();
-        assert_eq!(graph.len(), 2);
+        assert_eq!(graph.totals().misses, DEFAULT_KIND_CAPACITY);
+        // A cleared kind starts a fresh generation: refilling it to the
+        // bound evicts no phantom entries.
+        for i in full..2 * full {
+            graph.evaluate(&Echo(i)).unwrap();
+        }
+        assert_eq!(graph.len(), DEFAULT_KIND_CAPACITY);
         assert_eq!(graph.totals().evictions, 0);
     }
 
@@ -1196,8 +1248,8 @@ mod tests {
     fn shared_memo_read_through_is_bit_identical() {
         let tech = Technology::default_1p2um();
         let store = Arc::new(SharedMemo::new());
-        let a = EstimationGraph::with_shared(&tech, store.clone());
-        let b = EstimationGraph::with_shared(&tech, store.clone());
+        let a = EstimationGraph::new(&tech, Some(store.clone()), None);
+        let b = EstimationGraph::new(&tech, Some(store.clone()), None);
         let cold = a.evaluate(&node(10e-6)).unwrap();
         // Graph `b` never computed this node: it reads through the store.
         let warm = b.evaluate(&node(10e-6)).unwrap();
@@ -1222,8 +1274,8 @@ mod tests {
         let tech = Technology::default_1p2um();
         let mut other = tech.clone();
         other.vdd += 0.5;
-        let a = EstimationGraph::with_shared(&tech, store.clone());
-        let b = EstimationGraph::with_shared(&other, store.clone());
+        let a = EstimationGraph::new(&tech, Some(store.clone()), None);
+        let b = EstimationGraph::new(&other, Some(store.clone()), None);
         a.evaluate(&node(10e-6)).unwrap();
         // Same node fingerprint, different technology: must not be served
         // from the other tenant's entry.
@@ -1235,17 +1287,20 @@ mod tests {
 
     #[test]
     fn shared_memo_capacity_drops_generations() {
-        let store = Arc::new(SharedMemo::with_capacity(0)); // 1 entry/shard
+        let store = Arc::new(SharedMemo::new());
         let tech = Technology::default_1p2um();
-        let g = EstimationGraph::with_shared(&tech, store.clone());
-        for id in [10e-6, 20e-6, 40e-6, 80e-6] {
-            g.evaluate(&node(id)).unwrap();
+        let g = EstimationGraph::new(&tech, Some(store.clone()), None);
+        let full = DEFAULT_SHARED_CAPACITY as u64;
+        for i in 0..=full {
+            g.evaluate(&Echo(i)).unwrap();
         }
         let s = store.stats();
-        assert_eq!(s.inserts, 4);
-        // With one slot per shard, any two nodes landing on one shard
-        // evicted a generation; at minimum the store stayed bounded.
-        assert!(store.len() <= SHARED_SHARDS);
+        assert_eq!(s.inserts, full + 1);
+        // One more entry than the store holds: by pigeonhole some shard
+        // overflowed and dropped a generation, and the store stayed
+        // within its bound.
+        assert!(s.evictions > 0);
+        assert!(store.len() <= DEFAULT_SHARED_CAPACITY);
     }
 
     #[test]
@@ -1257,7 +1312,7 @@ mod tests {
             let store = store.clone();
             let tech = tech.clone();
             handles.push(std::thread::spawn(move || {
-                let g = EstimationGraph::with_shared(&tech, store);
+                let g = EstimationGraph::new(&tech, Some(store), None);
                 (0..16)
                     .map(|i| g.evaluate(&node((1 + i) as f64 * 5e-6)).unwrap().geometry)
                     .collect::<Vec<_>>()

@@ -50,7 +50,6 @@
 
 mod attrs;
 pub mod basic;
-pub mod cache;
 pub mod calibrate;
 pub mod cancel;
 mod error;

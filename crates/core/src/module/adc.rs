@@ -11,7 +11,7 @@ use crate::attrs::Performance;
 use crate::basic::MirrorTopology;
 use crate::error::ApeError;
 use crate::graph::{with_thread_graph, Component, EstimationGraph};
-use crate::opamp::{OpAmp, OpAmpSpec, OpAmpTopology};
+use crate::opamp::{OpAmp, OpAmpNode, OpAmpSpec, OpAmpTopology};
 use ape_mos::fingerprint::Fingerprint;
 use ape_netlist::{Circuit, NodeId, SourceWaveform, Technology};
 use ape_spice::dc_operating_point;
@@ -58,7 +58,7 @@ impl Component for ComparatorNode {
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<Comparator, ApeError> {
-        Comparator::design_uncached(graph.technology(), self.overdrive, self.t_delay)
+        Comparator::design_uncached(graph, self.overdrive, self.t_delay)
     }
 }
 
@@ -100,7 +100,7 @@ impl Component for FlashAdcNode {
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<FlashAdc, ApeError> {
-        FlashAdc::design_uncached(graph.technology(), self.bits, self.t_delay)
+        FlashAdc::design_uncached(graph, self.bits, self.t_delay)
     }
 }
 
@@ -141,13 +141,17 @@ impl Comparator {
     /// * [`ApeError::BadSpec`] for non-positive overdrive or delay.
     /// * Op-amp design errors.
     pub fn design(tech: &Technology, overdrive: f64, t_delay: f64) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l4.comparator");
         with_thread_graph(tech, |g| g.evaluate(&ComparatorNode { overdrive, t_delay }))
     }
 
-    /// [`design`](Self::design) without the graph memo — the node's
-    /// compute body.
-    fn design_uncached(tech: &Technology, overdrive: f64, t_delay: f64) -> Result<Self, ApeError> {
+    /// The node's compute body behind [`design`](Self::design): runs on
+    /// a memo miss and evaluates every child node in `graph`.
+    fn design_uncached(
+        graph: &EstimationGraph,
+        overdrive: f64,
+        t_delay: f64,
+    ) -> Result<Self, ApeError> {
+        let tech = graph.technology();
         if !(overdrive.is_finite() && overdrive > 0.0) {
             return Err(ApeError::BadSpec {
                 param: "overdrive",
@@ -177,11 +181,10 @@ impl Comparator {
             zout_ohm: None,
             cl: 0.5e-12,
         };
-        let opamp = OpAmp::design(
-            tech,
-            OpAmpTopology::miller(MirrorTopology::Simple, false),
+        let opamp = graph.evaluate(&OpAmpNode {
+            topology: OpAmpTopology::miller(MirrorTopology::Simple, false),
             spec,
-        )?;
+        })?;
         let ugf_actual = opamp.perf.ugf_hz.unwrap_or(ugf);
         let sr_eff = 2.0 * std::f64::consts::PI * ugf_actual * v_steer;
         let tau = 1.0 / (2.0 * std::f64::consts::PI * ugf_actual);
@@ -280,13 +283,13 @@ impl FlashAdc {
     ///   the comparator count simulable).
     /// * Comparator design errors.
     pub fn design(tech: &Technology, bits: u32, t_delay: f64) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l4.adc");
         with_thread_graph(tech, |g| g.evaluate(&FlashAdcNode { bits, t_delay }))
     }
 
-    /// [`design`](Self::design) without the graph memo — the node's
-    /// compute body.
-    fn design_uncached(tech: &Technology, bits: u32, t_delay: f64) -> Result<Self, ApeError> {
+    /// The node's compute body behind [`design`](Self::design): runs on
+    /// a memo miss and evaluates every child node in `graph`.
+    fn design_uncached(graph: &EstimationGraph, bits: u32, t_delay: f64) -> Result<Self, ApeError> {
+        let tech = graph.technology();
         if !(1..=6).contains(&bits) {
             return Err(ApeError::BadSpec {
                 param: "bits",
@@ -297,7 +300,10 @@ impl FlashAdc {
         let vref_hi = tech.vdd - 1.0;
         let lsb = (vref_hi - vref_lo) / 2f64.powi(bits as i32);
         // Worst-case overdrive is half an LSB.
-        let comparator = Comparator::design(tech, lsb / 2.0, t_delay)?;
+        let comparator = graph.evaluate(&ComparatorNode {
+            overdrive: lsb / 2.0,
+            t_delay,
+        })?;
         let n_cmp = (1usize << bits) - 1;
         let r_ladder = 50e3;
         let ladder_power = (vref_hi - vref_lo).powi(2) / (r_ladder * 2f64.powi(bits as i32));

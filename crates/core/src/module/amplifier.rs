@@ -5,7 +5,7 @@ use crate::attrs::Performance;
 use crate::basic::MirrorTopology;
 use crate::error::ApeError;
 use crate::graph::{with_thread_graph, Component, EstimationGraph};
-use crate::opamp::{OpAmp, OpAmpSpec, OpAmpTopology};
+use crate::opamp::{OpAmp, OpAmpNode, OpAmpSpec, OpAmpTopology};
 use ape_mos::fingerprint::Fingerprint;
 use ape_netlist::{Circuit, SourceWaveform, Technology};
 
@@ -53,7 +53,7 @@ impl Component for InvertingAmpNode {
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<InvertingAmplifier, ApeError> {
-        InvertingAmplifier::design_uncached(graph.technology(), self.gain, self.bw, self.cl)
+        InvertingAmplifier::design_uncached(graph, self.gain, self.bw, self.cl)
     }
 }
 
@@ -101,7 +101,7 @@ impl Component for NonInvertingAmpNode {
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<NonInvertingAmplifier, ApeError> {
-        NonInvertingAmplifier::design_uncached(graph.technology(), self.gain, self.bw, self.cl)
+        NonInvertingAmplifier::design_uncached(graph, self.gain, self.bw, self.cl)
     }
 }
 
@@ -149,7 +149,7 @@ impl Component for AudioAmpNode {
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<AudioAmplifier, ApeError> {
-        AudioAmplifier::design_uncached(graph.technology(), self.gain, self.bw, self.cl)
+        AudioAmplifier::design_uncached(graph, self.gain, self.bw, self.cl)
     }
 }
 
@@ -157,7 +157,7 @@ impl Component for AudioAmpNode {
 /// and signal bandwidth `bw`: open-loop gain 50× the closed-loop ideal for
 /// ≤2 % gain error, UGF `k·bw` with 2× margin.
 fn opamp_for_loop(
-    tech: &Technology,
+    graph: &EstimationGraph,
     k: f64,
     bw: f64,
     cl: f64,
@@ -171,11 +171,10 @@ fn opamp_for_loop(
         zout_ohm: Some(2e3),
         cl,
     };
-    OpAmp::design(
-        tech,
-        OpAmpTopology::miller(MirrorTopology::Simple, buffered),
+    graph.evaluate(&OpAmpNode {
+        topology: OpAmpTopology::miller(MirrorTopology::Simple, buffered),
         spec,
-    )
+    })
 }
 
 /// Inverting amplifier: gain `−R2/R1` around an op-amp.
@@ -218,13 +217,17 @@ impl InvertingAmplifier {
     /// * [`ApeError::BadSpec`] for gain below 1 or non-positive bandwidth.
     /// * Op-amp sizing errors.
     pub fn design(tech: &Technology, gain: f64, bw: f64, cl: f64) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l4.inverting_amp");
         with_thread_graph(tech, |g| g.evaluate(&InvertingAmpNode { gain, bw, cl }))
     }
 
-    /// [`design`](Self::design) without the graph memo — the node's
-    /// compute body.
-    fn design_uncached(tech: &Technology, gain: f64, bw: f64, cl: f64) -> Result<Self, ApeError> {
+    /// The node's compute body behind [`design`](Self::design): runs on
+    /// a memo miss and evaluates every child node in `graph`.
+    fn design_uncached(
+        graph: &EstimationGraph,
+        gain: f64,
+        bw: f64,
+        cl: f64,
+    ) -> Result<Self, ApeError> {
         if !(gain.is_finite() && gain >= 1.0) {
             return Err(ApeError::BadSpec {
                 param: "gain",
@@ -238,7 +241,7 @@ impl InvertingAmplifier {
             });
         }
         let noise_gain = 1.0 + gain;
-        let opamp = opamp_for_loop(tech, noise_gain, bw, cl, true)?;
+        let opamp = opamp_for_loop(graph, noise_gain, bw, cl, true)?;
         let r1 = R_FEEDBACK;
         let r2 = gain * r1;
         let a_ol = opamp.perf.dc_gain.unwrap_or(1e4);
@@ -319,13 +322,17 @@ impl NonInvertingAmplifier {
     /// * [`ApeError::BadSpec`] for gain below 1 or non-positive bandwidth.
     /// * Op-amp sizing errors.
     pub fn design(tech: &Technology, gain: f64, bw: f64, cl: f64) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l4.noninverting_amp");
         with_thread_graph(tech, |g| g.evaluate(&NonInvertingAmpNode { gain, bw, cl }))
     }
 
-    /// [`design`](Self::design) without the graph memo — the node's
-    /// compute body.
-    fn design_uncached(tech: &Technology, gain: f64, bw: f64, cl: f64) -> Result<Self, ApeError> {
+    /// The node's compute body behind [`design`](Self::design): runs on
+    /// a memo miss and evaluates every child node in `graph`.
+    fn design_uncached(
+        graph: &EstimationGraph,
+        gain: f64,
+        bw: f64,
+        cl: f64,
+    ) -> Result<Self, ApeError> {
         if !(gain.is_finite() && gain >= 1.0) {
             return Err(ApeError::BadSpec {
                 param: "gain",
@@ -338,7 +345,7 @@ impl NonInvertingAmplifier {
                 message: format!("must be positive, got {bw}"),
             });
         }
-        let opamp = opamp_for_loop(tech, gain, bw, cl, true)?;
+        let opamp = opamp_for_loop(graph, gain, bw, cl, true)?;
         let a_ol = opamp.perf.dc_gain.unwrap_or(1e4);
         let perf = Performance {
             dc_gain: Some(noninverting_gain_actual(gain, a_ol)),
@@ -424,13 +431,17 @@ impl AudioAmplifier {
     ///
     /// Propagates op-amp design errors.
     pub fn design(tech: &Technology, gain: f64, bw: f64, cl: f64) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l4.audio_amp");
         with_thread_graph(tech, |g| g.evaluate(&AudioAmpNode { gain, bw, cl }))
     }
 
-    /// [`design`](Self::design) without the graph memo — the node's
-    /// compute body.
-    fn design_uncached(tech: &Technology, gain: f64, bw: f64, cl: f64) -> Result<Self, ApeError> {
+    /// The node's compute body behind [`design`](Self::design): runs on
+    /// a memo miss and evaluates every child node in `graph`.
+    fn design_uncached(
+        graph: &EstimationGraph,
+        gain: f64,
+        bw: f64,
+        cl: f64,
+    ) -> Result<Self, ApeError> {
         if !(gain.is_finite() && gain > 1.0 && bw.is_finite() && bw > 0.0) {
             return Err(ApeError::BadSpec {
                 param: "gain/bw",
@@ -447,11 +458,10 @@ impl AudioAmplifier {
             zout_ohm: None,
             cl,
         };
-        let opamp = OpAmp::design(
-            tech,
-            OpAmpTopology::miller(MirrorTopology::Simple, false),
+        let opamp = graph.evaluate(&OpAmpNode {
+            topology: OpAmpTopology::miller(MirrorTopology::Simple, false),
             spec,
-        )?;
+        })?;
         let a1 = opamp.stage1.perf.dc_gain.unwrap_or(gain.sqrt()).abs();
         let gm6 = opamp.m6.gm;
         let go67 = opamp.m6.gds + opamp.m7.gds;

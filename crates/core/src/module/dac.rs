@@ -4,7 +4,7 @@ use crate::attrs::Performance;
 use crate::basic::MirrorTopology;
 use crate::error::ApeError;
 use crate::graph::{with_thread_graph, Component, EstimationGraph};
-use crate::opamp::{OpAmp, OpAmpSpec, OpAmpTopology};
+use crate::opamp::{OpAmp, OpAmpNode, OpAmpSpec, OpAmpTopology};
 use ape_mos::fingerprint::Fingerprint;
 use ape_netlist::{Circuit, NodeId, Technology};
 use ape_spice::dc_operating_point;
@@ -44,7 +44,7 @@ impl Component for R2rDacNode {
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<R2rDac, ApeError> {
-        R2rDac::design_uncached(graph.technology(), self.bits, self.bw)
+        R2rDac::design_uncached(graph, self.bits, self.bw)
     }
 }
 
@@ -91,13 +91,13 @@ impl R2rDac {
     /// * [`ApeError::BadSpec`] for unsupported resolutions.
     /// * Op-amp design errors.
     pub fn design(tech: &Technology, bits: u32, bw: f64) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l4.dac");
         with_thread_graph(tech, |g| g.evaluate(&R2rDacNode { bits, bw }))
     }
 
-    /// [`design`](Self::design) without the graph memo — the node's
-    /// compute body.
-    fn design_uncached(tech: &Technology, bits: u32, bw: f64) -> Result<Self, ApeError> {
+    /// The node's compute body behind [`design`](Self::design): runs on
+    /// a memo miss and evaluates every child node in `graph`.
+    fn design_uncached(graph: &EstimationGraph, bits: u32, bw: f64) -> Result<Self, ApeError> {
+        let tech = graph.technology();
         if !(1..=10).contains(&bits) {
             return Err(ApeError::BadSpec {
                 param: "bits",
@@ -118,11 +118,10 @@ impl R2rDac {
             zout_ohm: Some(2e3),
             cl: 10e-12,
         };
-        let buffer = OpAmp::design(
-            tech,
-            OpAmpTopology::miller(MirrorTopology::Simple, true),
+        let buffer = graph.evaluate(&OpAmpNode {
+            topology: OpAmpTopology::miller(MirrorTopology::Simple, true),
             spec,
-        )?;
+        })?;
         let t_settle = 4.6 / (2.0 * std::f64::consts::PI * bw);
         // The buffered op-amp's NMOS-follower output tops out roughly one
         // vgs below the rail, so keep the full-scale level below that.

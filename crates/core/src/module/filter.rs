@@ -18,7 +18,7 @@ use crate::attrs::Performance;
 use crate::basic::MirrorTopology;
 use crate::error::ApeError;
 use crate::graph::{with_thread_graph, Component, EstimationGraph};
-use crate::opamp::{OpAmp, OpAmpSpec, OpAmpTopology};
+use crate::opamp::{OpAmp, OpAmpNode, OpAmpSpec, OpAmpTopology};
 use ape_mos::fingerprint::Fingerprint;
 use ape_netlist::{Circuit, SourceWaveform, Technology};
 
@@ -63,7 +63,7 @@ impl Component for LowPassNode {
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<SallenKeyLowPass, ApeError> {
-        SallenKeyLowPass::design_uncached(graph.technology(), self.fc, self.order, self.cl)
+        SallenKeyLowPass::design_uncached(graph, self.fc, self.order, self.cl)
     }
 }
 
@@ -107,7 +107,7 @@ impl Component for BandPassNode {
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<SallenKeyBandPass, ApeError> {
-        SallenKeyBandPass::design_uncached(graph.technology(), self.f0, self.q, self.cl)
+        SallenKeyBandPass::design_uncached(graph, self.f0, self.q, self.cl)
     }
 }
 
@@ -184,14 +184,13 @@ impl SallenKeyLowPass {
     /// * [`ApeError::BadSpec`] for odd/unsupported order or bad `fc`.
     /// * Op-amp design errors.
     pub fn design(tech: &Technology, fc: f64, order: usize, cl: f64) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l4.filter_lp");
         with_thread_graph(tech, |g| g.evaluate(&LowPassNode { fc, order, cl }))
     }
 
-    /// [`design`](Self::design) without the graph memo — the node's
-    /// compute body.
+    /// The node's compute body behind [`design`](Self::design): runs on
+    /// a memo miss and evaluates every child node in `graph`.
     fn design_uncached(
-        tech: &Technology,
+        graph: &EstimationGraph,
         fc: f64,
         order: usize,
         cl: f64,
@@ -219,11 +218,10 @@ impl SallenKeyLowPass {
                 zout_ohm: Some(1e3),
                 cl,
             };
-            let opamp = OpAmp::design(
-                tech,
-                OpAmpTopology::miller(MirrorTopology::Simple, true),
+            let opamp = graph.evaluate(&OpAmpNode {
+                topology: OpAmpTopology::miller(MirrorTopology::Simple, true),
                 spec,
-            )?;
+            })?;
             let a_ol = opamp.perf.dc_gain.unwrap_or(2000.0);
             a_total *= k / (1.0 + k / a_ol);
             power += opamp.perf.power_w;
@@ -359,13 +357,17 @@ impl SallenKeyBandPass {
     /// * [`ApeError::BadSpec`] when `q` requires `K` outside `[1, 4)`.
     /// * Op-amp design errors.
     pub fn design(tech: &Technology, f0: f64, q: f64, cl: f64) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l4.filter_bp");
         with_thread_graph(tech, |g| g.evaluate(&BandPassNode { f0, q, cl }))
     }
 
-    /// [`design`](Self::design) without the graph memo — the node's
-    /// compute body.
-    fn design_uncached(tech: &Technology, f0: f64, q: f64, cl: f64) -> Result<Self, ApeError> {
+    /// The node's compute body behind [`design`](Self::design): runs on
+    /// a memo miss and evaluates every child node in `graph`.
+    fn design_uncached(
+        graph: &EstimationGraph,
+        f0: f64,
+        q: f64,
+        cl: f64,
+    ) -> Result<Self, ApeError> {
         if !(f0.is_finite() && f0 > 0.0) {
             return Err(ApeError::BadSpec {
                 param: "f0",
@@ -390,11 +392,10 @@ impl SallenKeyBandPass {
             zout_ohm: Some(1e3),
             cl,
         };
-        let opamp = OpAmp::design(
-            tech,
-            OpAmpTopology::miller(MirrorTopology::Simple, true),
+        let opamp = graph.evaluate(&OpAmpNode {
+            topology: OpAmpTopology::miller(MirrorTopology::Simple, true),
             spec,
-        )?;
+        })?;
         let a_ol = opamp.perf.dc_gain.unwrap_or(2000.0);
         let a0 = (k / (4.0 - k)) / (1.0 + k / a_ol);
         let perf = Performance {

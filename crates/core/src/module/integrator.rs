@@ -5,7 +5,7 @@ use crate::attrs::Performance;
 use crate::basic::MirrorTopology;
 use crate::error::ApeError;
 use crate::graph::{with_thread_graph, Component, EstimationGraph};
-use crate::opamp::{OpAmp, OpAmpSpec, OpAmpTopology};
+use crate::opamp::{OpAmp, OpAmpNode, OpAmpSpec, OpAmpTopology};
 use ape_mos::fingerprint::Fingerprint;
 use ape_netlist::{Circuit, SourceWaveform, Technology};
 
@@ -48,7 +48,7 @@ impl Component for IntegratorNode {
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<Integrator, ApeError> {
-        Integrator::design_uncached(graph.technology(), self.unity_hz, self.cl)
+        Integrator::design_uncached(graph, self.unity_hz, self.cl)
     }
 }
 
@@ -97,7 +97,7 @@ impl Component for SummingNode {
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<SummingAmplifier, ApeError> {
-        SummingAmplifier::design_uncached(graph.technology(), &self.gains, self.bw, self.cl)
+        SummingAmplifier::design_uncached(graph, &self.gains, self.bw, self.cl)
     }
 }
 
@@ -140,13 +140,12 @@ impl Integrator {
     /// * [`ApeError::BadSpec`] for a non-positive frequency.
     /// * Op-amp design errors.
     pub fn design(tech: &Technology, unity_hz: f64, cl: f64) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l4.integrator");
         with_thread_graph(tech, |g| g.evaluate(&IntegratorNode { unity_hz, cl }))
     }
 
-    /// [`design`](Self::design) without the graph memo — the node's
-    /// compute body.
-    fn design_uncached(tech: &Technology, unity_hz: f64, cl: f64) -> Result<Self, ApeError> {
+    /// The node's compute body behind [`design`](Self::design): runs on
+    /// a memo miss and evaluates every child node in `graph`.
+    fn design_uncached(graph: &EstimationGraph, unity_hz: f64, cl: f64) -> Result<Self, ApeError> {
         if !(unity_hz.is_finite() && unity_hz > 0.0) {
             return Err(ApeError::BadSpec {
                 param: "unity_hz",
@@ -164,11 +163,10 @@ impl Integrator {
             zout_ohm: Some(2e3),
             cl,
         };
-        let opamp = OpAmp::design(
-            tech,
-            OpAmpTopology::miller(MirrorTopology::Simple, true),
+        let opamp = graph.evaluate(&OpAmpNode {
+            topology: OpAmpTopology::miller(MirrorTopology::Simple, true),
             spec,
-        )?;
+        })?;
         let a_ol = opamp.perf.dc_gain.unwrap_or(1000.0);
         let perf = Performance {
             dc_gain: Some(-a_ol),
@@ -250,7 +248,6 @@ impl SummingAmplifier {
     /// * [`ApeError::BadSpec`] for an empty gain list or non-positive gains.
     /// * Op-amp design errors.
     pub fn design(tech: &Technology, gains: &[f64], bw: f64, cl: f64) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l4.summing_amp");
         with_thread_graph(tech, |g| {
             g.evaluate(&SummingNode {
                 gains: gains.to_vec(),
@@ -260,10 +257,10 @@ impl SummingAmplifier {
         })
     }
 
-    /// [`design`](Self::design) without the graph memo — the node's
-    /// compute body.
+    /// The node's compute body behind [`design`](Self::design): runs on
+    /// a memo miss and evaluates every child node in `graph`.
     fn design_uncached(
-        tech: &Technology,
+        graph: &EstimationGraph,
         gains: &[f64],
         bw: f64,
         cl: f64,
@@ -292,11 +289,10 @@ impl SummingAmplifier {
             zout_ohm: Some(2e3),
             cl,
         };
-        let opamp = OpAmp::design(
-            tech,
-            OpAmpTopology::miller(MirrorTopology::Simple, true),
+        let opamp = graph.evaluate(&OpAmpNode {
+            topology: OpAmpTopology::miller(MirrorTopology::Simple, true),
             spec,
-        )?;
+        })?;
         let a_ol = opamp.perf.dc_gain.unwrap_or(1e4);
         let g0 = -(gains[0]) / (1.0 + noise_gain / a_ol);
         let perf = Performance {

@@ -8,7 +8,7 @@ use crate::attrs::Performance;
 use crate::basic::MirrorTopology;
 use crate::error::ApeError;
 use crate::graph::{with_thread_graph, Component, EstimationGraph};
-use crate::opamp::{OpAmp, OpAmpSpec, OpAmpTopology};
+use crate::opamp::{OpAmp, OpAmpNode, OpAmpSpec, OpAmpTopology};
 use ape_mos::fingerprint::Fingerprint;
 use ape_netlist::{Circuit, SourceWaveform, Technology};
 
@@ -56,7 +56,7 @@ impl Component for SampleHoldNode {
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<SampleHold, ApeError> {
-        SampleHold::design_uncached(graph.technology(), self.gain, self.bw, self.cl)
+        SampleHold::design_uncached(graph, self.gain, self.bw, self.cl)
     }
 }
 
@@ -99,13 +99,18 @@ impl SampleHold {
     /// * [`ApeError::BadSpec`] for gain below 1 or non-positive bandwidth.
     /// * Op-amp design errors.
     pub fn design(tech: &Technology, gain: f64, bw: f64, cl: f64) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l4.sample_hold");
         with_thread_graph(tech, |g| g.evaluate(&SampleHoldNode { gain, bw, cl }))
     }
 
-    /// [`design`](Self::design) without the graph memo — the node's
-    /// compute body.
-    fn design_uncached(tech: &Technology, gain: f64, bw: f64, cl: f64) -> Result<Self, ApeError> {
+    /// The node's compute body behind [`design`](Self::design): runs on
+    /// a memo miss and evaluates every child node in `graph`.
+    fn design_uncached(
+        graph: &EstimationGraph,
+        gain: f64,
+        bw: f64,
+        cl: f64,
+    ) -> Result<Self, ApeError> {
+        let tech = graph.technology();
         if !(gain.is_finite() && gain >= 1.0) {
             return Err(ApeError::BadSpec {
                 param: "gain",
@@ -130,11 +135,10 @@ impl SampleHold {
             zout_ohm: Some(2e3),
             cl,
         };
-        let opamp = OpAmp::design(
-            tech,
-            OpAmpTopology::miller(MirrorTopology::Simple, true),
+        let opamp = graph.evaluate(&OpAmpNode {
+            topology: OpAmpTopology::miller(MirrorTopology::Simple, true),
             spec,
-        )?;
+        })?;
         let a_ol = opamp.perf.dc_gain.unwrap_or(1e4);
         let g_actual = noninverting_gain_actual(gain, a_ol);
         // Tracking bandwidth: switch pole in series with the closed loop.

@@ -117,7 +117,6 @@ pub fn estimate_netlist(
     tech: &Technology,
     output: NodeId,
 ) -> Result<NetlistEstimate, ApeError> {
-    let _span = ape_probe::span("ape.netest");
     crate::cancel::check_current()?;
     if usize::from(output) >= circuit.num_nodes() {
         return Err(ApeError::BadSpec {

@@ -14,8 +14,7 @@
 //! nulling resistor `RZ`, and an optional NMOS source-follower buffer.
 
 use crate::attrs::Performance;
-use crate::basic::{DiffPair, DiffTopology, MirrorTopology};
-use crate::cache::{cached_size_for_gm_id_at, cached_size_for_id_vov_at};
+use crate::basic::{DiffPair, DiffPairNode, DiffTopology, MirrorTopology};
 use crate::error::ApeError;
 use crate::graph::{with_thread_graph, Component, EstimationGraph};
 use ape_mos::fingerprint::Fingerprint;
@@ -127,11 +126,12 @@ impl SpecDelta {
 }
 
 /// Estimation-graph node for a full [`OpAmp::design`] (the overdrive
-/// refinement loop). Its children are the per-overdrive attempts.
+/// refinement loop). Its children are the per-overdrive attempts. Level-4
+/// modules evaluate it directly in their own graph.
 #[derive(Debug, Clone, Copy)]
-struct OpAmpNode {
-    topology: OpAmpTopology,
-    spec: OpAmpSpec,
+pub(crate) struct OpAmpNode {
+    pub(crate) topology: OpAmpTopology,
+    pub(crate) spec: OpAmpSpec,
 }
 
 impl Component for OpAmpNode {
@@ -249,7 +249,7 @@ impl Component for OpAmpAttemptNode {
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<OpAmp, ApeError> {
-        OpAmp::design_attempt(graph.technology(), self.topology, self.spec, self.vov_sig)
+        OpAmp::design_attempt(graph, self.topology, self.spec, self.vov_sig)
     }
 }
 
@@ -336,7 +336,6 @@ impl OpAmp {
         topology: OpAmpTopology,
         spec: OpAmpSpec,
     ) -> Result<Self, ApeError> {
-        let _span = ape_probe::span("ape.l3.opamp");
         // An already-cancelled job must not be answered from the memo.
         crate::cancel::check_current()?;
         with_thread_graph(tech, |g| g.evaluate(&OpAmpNode { topology, spec }))
@@ -405,13 +404,16 @@ impl OpAmp {
         crate::graph::evaluate_many(exec, tech, &nodes)
     }
 
-    /// One sizing pass at a fixed signal overdrive.
+    /// One sizing pass at a fixed signal overdrive — the attempt node's
+    /// compute body; the input pair and every device are evaluated in
+    /// `graph`.
     fn design_attempt(
-        tech: &Technology,
+        graph: &EstimationGraph,
         topology: OpAmpTopology,
         spec: OpAmpSpec,
         vov_sig: f64,
     ) -> Result<Self, ApeError> {
+        let tech = graph.technology();
         let c = crate::basic::cards(tech)?;
         if !(spec.gain.is_finite() && spec.gain > 1.0) {
             return Err(ApeError::BadSpec {
@@ -453,14 +455,13 @@ impl OpAmp {
         let a_stage = a12.sqrt().max(2.0);
 
         // --- Stage 1: mirror-loaded pair -----------------------------------
-        let stage1 = DiffPair::design_with_overdrive(
-            tech,
-            DiffTopology::MirrorLoad,
-            a_stage,
+        let stage1 = graph.evaluate(&DiffPairNode {
+            topology: DiffTopology::MirrorLoad,
+            adm: a_stage,
             itail,
-            0.0,
-            vov_sig,
-        )?;
+            cl: 0.0,
+            vov_i_sel: vov_sig,
+        })?;
 
         // Level-2 → level-3 boundary: the remaining stages are pure level-1
         // solves, so this is the last cheap place to abandon a cancelled job.
@@ -481,13 +482,13 @@ impl OpAmp {
             l2_gain,
             tech,
         );
-        let m6 = cached_size_for_id_vov_at(tech, true, i2, vov6, l2, tech.vdd / 2.0, 0.0)?;
+        let m6 = graph.size_id_vov(true, i2, vov6, l2, tech.vdd / 2.0, 0.0)?;
         let l7 = crate::basic::length_for_min_width(
             crate::basic::aspect_for_id_vov(c.n, i2, VOV_BIAS),
             l2,
             tech,
         );
-        let m7 = cached_size_for_id_vov_at(tech, false, i2, VOV_BIAS, l7, tech.vdd / 2.0, 0.0)?;
+        let m7 = graph.size_id_vov(false, i2, VOV_BIAS, l7, tech.vdd / 2.0, 0.0)?;
         let a2 = m6.gm / (m6.gds + m7.gds);
 
         // --- Bias network ---------------------------------------------------
@@ -500,72 +501,24 @@ impl OpAmp {
                 tech,
             )
         };
-        let mb1 = cached_size_for_id_vov_at(
-            tech,
-            false,
-            spec.ibias,
-            VOV_BIAS,
-            l_bias(spec.ibias),
-            1.2,
-            0.0,
-        )?;
+        let mb1 = graph.size_id_vov(false, spec.ibias, VOV_BIAS, l_bias(spec.ibias), 1.2, 0.0)?;
         let mut tail_devices = Vec::new();
         match topology.current_source {
             MirrorTopology::Simple => {
-                let mtail = cached_size_for_id_vov_at(
-                    tech,
-                    false,
-                    itail,
-                    VOV_BIAS,
-                    l_bias(itail),
-                    1.4,
-                    0.0,
-                )?;
+                let mtail = graph.size_id_vov(false, itail, VOV_BIAS, l_bias(itail), 1.4, 0.0)?;
                 tail_devices.push(mtail);
             }
             MirrorTopology::Cascode => {
                 // Stacked mirror: bottom device + cascode, biased from a
                 // two-diode reference stack.
-                let mtail = cached_size_for_id_vov_at(
-                    tech,
-                    false,
-                    itail,
-                    VOV_BIAS,
-                    l_bias(itail),
-                    0.5,
-                    0.0,
-                )?;
-                let mtcasc = cached_size_for_id_vov_at(
-                    tech,
-                    false,
-                    itail,
-                    VOV_BIAS,
-                    l_bias(itail),
-                    0.9,
-                    0.5,
-                )?;
+                let mtail = graph.size_id_vov(false, itail, VOV_BIAS, l_bias(itail), 0.5, 0.0)?;
+                let mtcasc = graph.size_id_vov(false, itail, VOV_BIAS, l_bias(itail), 0.9, 0.5)?;
                 tail_devices.push(mtail);
                 tail_devices.push(mtcasc);
             }
             MirrorTopology::Wilson => {
-                let mdiode = cached_size_for_id_vov_at(
-                    tech,
-                    false,
-                    itail,
-                    VOV_BIAS,
-                    l_bias(itail),
-                    1.1,
-                    0.0,
-                )?;
-                let mcasc = cached_size_for_id_vov_at(
-                    tech,
-                    false,
-                    itail,
-                    VOV_BIAS,
-                    l_bias(itail),
-                    0.5,
-                    1.1,
-                )?;
+                let mdiode = graph.size_id_vov(false, itail, VOV_BIAS, l_bias(itail), 1.1, 0.0)?;
+                let mcasc = graph.size_id_vov(false, itail, VOV_BIAS, l_bias(itail), 0.5, 1.1)?;
                 tail_devices.push(mdiode);
                 tail_devices.push(mcasc);
             }
@@ -588,8 +541,7 @@ impl OpAmp {
             let ib = (gm_b * VOV_SIG / 2.0).max(5e-6);
             let vout_q = 0.45 * tech.vdd;
             let gm_b = gm_b.max(2.0 * ib / 1.2); // keep vov inside the domain
-            let mbuf = cached_size_for_gm_id_at(
-                tech,
+            let mbuf = graph.size_gm_id(
                 false,
                 gm_b,
                 ib,
@@ -597,15 +549,8 @@ impl OpAmp {
                 tech.vdd - vout_q,
                 vout_q,
             )?;
-            let msink = cached_size_for_id_vov_at(
-                tech,
-                false,
-                ib,
-                VOV_BIAS,
-                crate::basic::L_BIAS,
-                vout_q,
-                0.0,
-            )?;
+            let msink =
+                graph.size_id_vov(false, ib, VOV_BIAS, crate::basic::L_BIAS, vout_q, 0.0)?;
             let gtot = mbuf.gm + mbuf.gmb + mbuf.gds + msink.gds;
             let a_b = mbuf.gm / gtot;
             (Some(mbuf), Some(msink), ib, a_b, 1.0 / gtot)
@@ -1208,6 +1153,51 @@ mod tests {
         let mut s = spec_basic();
         s.ugf_hz = f64::NAN;
         assert!(OpAmp::design(&tech, topo, s).is_err());
+    }
+
+    /// A node's compute evaluates its children in the graph it is handed:
+    /// an op-amp designed in an explicit calibrated graph never touches
+    /// this thread's graph, and every level below it sees the graph's
+    /// calibration.
+    #[test]
+    fn children_evaluate_in_the_graph_they_are_handed() {
+        use crate::graph::{
+            reset_thread_graph, set_thread_calibration, thread_graph_len, EstimationGraph,
+        };
+        use std::sync::Arc;
+
+        let tech = Technology::default_1p2um();
+        let mut table = ape_calib::Calibration::identity(tech.fingerprint(), "explicit");
+        table.set("l2.diffpair", "dc_gain", 1.5, &[]).unwrap();
+        let cal = Arc::new(table);
+        let topology = OpAmpTopology::miller(MirrorTopology::Simple, false);
+        let spec = spec_basic();
+
+        reset_thread_graph();
+        let graph = EstimationGraph::new(&tech, None, Some(cal.clone()));
+        let explicit = graph.evaluate(&OpAmpNode { topology, spec }).unwrap();
+        assert_eq!(
+            thread_graph_len(),
+            0,
+            "a child node reached the thread graph"
+        );
+        let kinds: Vec<&str> = graph.stats().iter().map(|k| k.kind).collect();
+        for kind in ["l1.gm_id", "l1.id_vov", "l2.diffpair", "l3.opamp.attempt"] {
+            assert!(kinds.contains(&kind), "{kind} missing from {kinds:?}");
+        }
+
+        set_thread_calibration(Some(cal));
+        let through_thread = OpAmp::design(&tech, topology, spec).unwrap();
+        set_thread_calibration(None);
+        reset_thread_graph();
+        let plain = OpAmp::design(&tech, topology, spec).unwrap();
+        reset_thread_graph();
+        assert_eq!(format!("{explicit:?}"), format!("{through_thread:?}"));
+        assert_ne!(
+            format!("{explicit:?}"),
+            format!("{plain:?}"),
+            "the l2.diffpair correction must reach the op-amp"
+        );
     }
 
     /// A process with zero channel-length modulation makes every stage's

@@ -3,13 +3,15 @@
 //! End-to-end check that the estimator emits probe telemetry: designing a
 //! diff pair under a `SummarySink` must produce level-1 and level-2 spans
 //! with the expected nesting, and a repeated solve must hit the estimation
-//! graph's memo.
+//! graph's memo. An op-amp design then opens one `ape.<kind>` span per
+//! graph node, nested from L3 down to L1.
 //!
 //! The probe sink is process-global, so everything lives in one `#[test]`
 //! to avoid cross-test interference under the parallel test runner.
 
-use ape_core::basic::{DiffPair, DiffTopology};
+use ape_core::basic::{DiffPair, DiffTopology, MirrorTopology};
 use ape_core::graph;
+use ape_core::opamp::{OpAmp, OpAmpSpec, OpAmpTopology};
 use ape_netlist::Technology;
 use ape_probe::SummarySink;
 use std::sync::Arc;
@@ -88,4 +90,66 @@ fn diffpair_design_emits_spans_and_graph_counters() {
     // The report names its span section entries.
     let report = sink.report();
     assert!(report.contains("ape.l2.diffpair"), "report:\n{report}");
+
+    // One op-amp design on a cold graph, under a fresh sink: every node the
+    // graph evaluates opens its own span, nested level by level.
+    graph::reset_thread_graph();
+    let sink = Arc::new(SummarySink::new());
+    ape_probe::install(sink.clone());
+    let spec = OpAmpSpec {
+        gain: 200.0,
+        ugf_hz: 5e6,
+        area_max_m2: 5000e-12,
+        ibias: 10e-6,
+        zout_ohm: Some(10e3),
+        cl: 10e-12,
+    };
+    OpAmp::design(
+        &tech,
+        OpAmpTopology::miller(MirrorTopology::Simple, true),
+        spec,
+    )
+    .expect("op-amp designs");
+    ape_probe::uninstall();
+
+    let spans = sink.spans();
+    let depth = |name: &str| {
+        spans
+            .get(name)
+            .unwrap_or_else(|| panic!("{name} span missing; spans: {:?}", spans.keys()))
+            .min_depth
+    };
+    let l3 = depth("ape.l3.opamp");
+    let attempt = depth("ape.l3.opamp.attempt");
+    let l2 = depth("ape.l2.diffpair");
+    assert!(
+        l3 < attempt,
+        "attempt nests under the op-amp: {l3} vs {attempt}"
+    );
+    assert!(
+        attempt < l2,
+        "diff pair nests under the attempt: {attempt} vs {l2}"
+    );
+    // Level-1 sizing sits one level below whichever node sizes the
+    // device: the attempt sizes its second stage and bias devices itself,
+    // the diff pair its own pair, so L1 is never shallower than L2.
+    for (name, agg) in spans.iter().filter(|(n, _)| n.starts_with("ape.l1.")) {
+        assert!(
+            agg.min_depth > attempt && agg.min_depth >= l2,
+            "{name} nests under the attempt, level with or below the diff pair: \
+             {} vs {attempt}/{l2}",
+            agg.min_depth
+        );
+    }
+    let kinds = graph::thread_graph_stats();
+    assert!(kinds.len() >= 5, "op-amp graph kinds: {kinds:?}");
+    for k in &kinds {
+        let name = format!("ape.{}", k.kind);
+        assert!(
+            spans.contains_key(&name),
+            "node kind {} has no {name} span",
+            k.kind
+        );
+    }
+    graph::reset_thread_graph();
 }

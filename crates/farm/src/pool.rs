@@ -685,13 +685,13 @@ fn run_job(shared: &Shared, item: &WorkItem) {
         item,
         outcome: None,
     };
-    // `ensure` compares by `Arc` identity (by content fingerprint for the
-    // calibration), so consecutive jobs from the same farm keep the
-    // thread's warm graph and pay nothing; the calibration fingerprint is
-    // also folded into every memo key, so a stale entry can never answer a
-    // calibrated job.
-    ape_core::graph::ensure_thread_shared_memo(shared.shared_graph.clone());
-    ape_core::graph::ensure_thread_calibration(item.calib.clone());
+    // Re-installing the attached store (same `Arc`) or a table with the
+    // same content fingerprint changes nothing, so consecutive jobs from
+    // the same farm keep the thread's warm graph and pay nothing; the
+    // calibration fingerprint is also folded into every memo key, so a
+    // stale entry can never answer a calibrated job.
+    ape_core::graph::set_thread_shared_memo(shared.shared_graph.clone());
+    ape_core::graph::set_thread_calibration(item.calib.clone());
     let wait_ns = item.admitted.elapsed().as_nanos() as f64;
     shared.queue_wait_ns.record(wait_ns);
     ape_probe::value("ape.farm.queue.wait_ns", wait_ns);

@@ -164,9 +164,9 @@ fn shared_graph_skips_redundant_worker_warmup() {
         .collect();
     assert!(store.stats().inserts > 0);
 
-    // Bit-identical to direct designs on a cold, isolated thread graph
-    // (setting the attachment starts a fresh one).
+    // Bit-identical to direct designs on a cold, isolated thread graph.
     ape_core::graph::set_thread_shared_memo(None);
+    ape_core::graph::reset_thread_graph();
     for (g, farm_result) in gains.iter().zip(&results) {
         let direct = OpAmp::design(
             farm.technology(),

@@ -143,8 +143,8 @@ pub fn evaluate_candidate_with(
     .unwrap_or_else(|_| evaluate_candidate_uncached(tech, topology, spec, point, fidelity))
 }
 
-/// [`evaluate_candidate_with`] without the graph memo — the node's compute
-/// body.
+/// The `oblx.candidate` node's compute body behind
+/// [`evaluate_candidate_with`]: runs on a memo miss.
 fn evaluate_candidate_uncached(
     tech: &Technology,
     topology: OpAmpTopology,

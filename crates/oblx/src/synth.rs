@@ -6,7 +6,7 @@ use crate::cost::{cost, CostWeights};
 use crate::error::OblxError;
 use crate::eval::{evaluate_candidate_with, EvalFidelity};
 use crate::vars::{blind_center, blind_ranges, seeded_ranges, DesignPoint};
-use ape_core::graph::{ensure_thread_shared_memo, thread_shared_memo, SharedMemo};
+use ape_core::graph::{set_thread_shared_memo, thread_shared_memo, SharedMemo};
 use ape_core::opamp::{OpAmpSpec, OpAmpTopology};
 use ape_netlist::Technology;
 use ape_solve::{
@@ -314,7 +314,7 @@ pub fn synthesize_portfolio(
         .unwrap_or_else(|| Arc::new(SharedMemo::new()));
     let eval = candidate_cost(tech, topology, spec, opts);
     let cost_fn = move |s: &[f64]| {
-        ensure_thread_shared_memo(Some(memo.clone()));
+        set_thread_shared_memo(Some(memo.clone()));
         eval(s)
     };
     let problem = Problem::new(&ranges, &cost_fn)
@@ -325,7 +325,7 @@ pub fn synthesize_portfolio(
         &budget(opts),
         ape_exec::Executor::global(),
     );
-    ensure_thread_shared_memo(caller_memo);
+    set_thread_shared_memo(caller_memo);
     if ape_core::cancel::current_cancelled() {
         return Err(OblxError::Cancelled);
     }
