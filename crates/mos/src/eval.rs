@@ -91,10 +91,12 @@ pub struct DeviceEval {
 
 /// Evaluates the drain current and small-signal parameters of a MOSFET.
 ///
-/// Works for both polarities and both conduction directions. Derivatives are
-/// computed by central finite differences over the smoothed characteristic
-/// (step 1 µV–10 µV), which keeps every model level consistent with its own
-/// current equation by construction.
+/// Works for both polarities and both conduction directions. The current
+/// equation runs once, on dual numbers that carry the partials with respect
+/// to (vgs, vds, vsb) beside the value, so `gm`, `gds` and `gmb` are the
+/// exact derivatives of the branch of the smoothed characteristic the bias
+/// falls in, consistent with every model level's own current equation by
+/// construction.
 ///
 /// # Example
 ///
@@ -110,24 +112,19 @@ pub struct DeviceEval {
 /// ```
 pub fn evaluate(card: &MosModelCard, geom: &MosGeometry, bias: BiasPoint) -> DeviceEval {
     let s = card.polarity.sign();
-    // Normalise to an N-type forward frame.
-    let vgs_n = s * bias.vgs;
-    let vds_n = s * bias.vds;
-    let vsb_n = s * bias.vsb;
-
-    let f = |vgs: f64, vds: f64, vsb: f64| ids_normalized(card, geom, vgs, vds, vsb).0;
+    // Normalise to an N-type forward frame; each normalised voltage seeds
+    // its own partial.
+    let vgs_n = Dual::var(s * bias.vgs, 0);
+    let vds_n = Dual::var(s * bias.vds, 1);
+    let vsb_n = Dual::var(s * bias.vsb, 2);
     let (i_n, region, vth, vdsat, vov) = ids_normalized(card, geom, vgs_n, vds_n, vsb_n);
-
-    let h = 1e-5;
-    let d_vgs = (f(vgs_n + h, vds_n, vsb_n) - f(vgs_n - h, vds_n, vsb_n)) / (2.0 * h);
-    let d_vds = (f(vgs_n, vds_n + h, vsb_n) - f(vgs_n, vds_n - h, vsb_n)) / (2.0 * h);
-    let d_vsb = (f(vgs_n, vds_n, vsb_n + h) - f(vgs_n, vds_n, vsb_n - h)) / (2.0 * h);
+    let [d_vgs, d_vds, d_vsb] = i_n.d;
 
     // Physical current: ids_phys = s * i_n; physical partials equal the
     // normalised ones (two sign flips cancel). gmb is the derivative with
     // respect to v_bs = -v_sb.
     DeviceEval {
-        ids: s * i_n,
+        ids: s * i_n.v,
         gm: d_vgs,
         gds: d_vds,
         gmb: -d_vsb,
@@ -138,17 +135,185 @@ pub fn evaluate(card: &MosModelCard, geom: &MosGeometry, bias: BiasPoint) -> Dev
     }
 }
 
-/// Normalised (N-type, forward-frame) drain current.
+/// A value with its partials with respect to the normalised
+/// (vgs, vds, vsb): forward-mode differentiation, so one pass of the current
+/// equation yields `ids`, `gm`, `gds` and `gmb` together.
+///
+/// The value half performs exactly the f64 operations the plain equation
+/// would, in the same grouping, so currents and voltages keep their bits;
+/// every branch tests the value half.
+#[derive(Debug, Clone, Copy)]
+struct Dual {
+    v: f64,
+    d: [f64; 3],
+}
+
+impl Dual {
+    const fn constant(v: f64) -> Self {
+        Dual { v, d: [0.0; 3] }
+    }
+
+    /// Independent variable `k` of (vgs, vds, vsb) at value `v`.
+    fn var(v: f64, k: usize) -> Self {
+        let mut d = [0.0; 3];
+        d[k] = 1.0;
+        Dual { v, d }
+    }
+
+    /// `f(self)` given `f`'s value `v` and slope `dv` at `self.v`.
+    fn chain(self, v: f64, dv: f64) -> Self {
+        Dual {
+            v,
+            d: self.d.map(|d| d * dv),
+        }
+    }
+
+    fn sqrt(self) -> Self {
+        let r = self.v.sqrt();
+        self.chain(r, 0.5 / r)
+    }
+
+    fn exp(self) -> Self {
+        let e = self.v.exp();
+        self.chain(e, e)
+    }
+
+    fn ln_1p(self) -> Self {
+        self.chain(self.v.ln_1p(), 1.0 / (1.0 + self.v))
+    }
+
+    /// `f64::max` against a constant; the partials vanish where `c` wins.
+    fn max(self, c: f64) -> Self {
+        if self.v > c {
+            self
+        } else {
+            Dual::constant(self.v.max(c))
+        }
+    }
+}
+
+impl std::ops::Neg for Dual {
+    type Output = Dual;
+    fn neg(self) -> Dual {
+        self.chain(-self.v, -1.0)
+    }
+}
+
+impl std::ops::Add for Dual {
+    type Output = Dual;
+    fn add(self, o: Dual) -> Dual {
+        Dual {
+            v: self.v + o.v,
+            d: [0, 1, 2].map(|k| self.d[k] + o.d[k]),
+        }
+    }
+}
+
+impl std::ops::Sub for Dual {
+    type Output = Dual;
+    fn sub(self, o: Dual) -> Dual {
+        Dual {
+            v: self.v - o.v,
+            d: [0, 1, 2].map(|k| self.d[k] - o.d[k]),
+        }
+    }
+}
+
+// The product and quotient rules mix operators by nature.
+#[allow(clippy::suspicious_arithmetic_impl)]
+impl std::ops::Mul for Dual {
+    type Output = Dual;
+    fn mul(self, o: Dual) -> Dual {
+        Dual {
+            v: self.v * o.v,
+            d: [0, 1, 2].map(|k| self.d[k] * o.v + self.v * o.d[k]),
+        }
+    }
+}
+
+#[allow(clippy::suspicious_arithmetic_impl)]
+impl std::ops::Div for Dual {
+    type Output = Dual;
+    fn div(self, o: Dual) -> Dual {
+        let q = self.v / o.v;
+        Dual {
+            v: q,
+            d: [0, 1, 2].map(|k| (self.d[k] - q * o.d[k]) / o.v),
+        }
+    }
+}
+
+impl std::ops::Add<f64> for Dual {
+    type Output = Dual;
+    fn add(self, c: f64) -> Dual {
+        Dual {
+            v: self.v + c,
+            d: self.d,
+        }
+    }
+}
+
+impl std::ops::Add<Dual> for f64 {
+    type Output = Dual;
+    fn add(self, x: Dual) -> Dual {
+        x + self
+    }
+}
+
+impl std::ops::Sub<f64> for Dual {
+    type Output = Dual;
+    fn sub(self, c: f64) -> Dual {
+        Dual {
+            v: self.v - c,
+            d: self.d,
+        }
+    }
+}
+
+impl std::ops::Mul<f64> for Dual {
+    type Output = Dual;
+    fn mul(self, c: f64) -> Dual {
+        self.chain(self.v * c, c)
+    }
+}
+
+impl std::ops::Mul<Dual> for f64 {
+    type Output = Dual;
+    fn mul(self, x: Dual) -> Dual {
+        x * self
+    }
+}
+
+impl std::ops::Div<f64> for Dual {
+    type Output = Dual;
+    fn div(self, c: f64) -> Dual {
+        Dual {
+            v: self.v / c,
+            d: self.d.map(|d| d / c),
+        }
+    }
+}
+
+impl std::ops::Div<Dual> for f64 {
+    type Output = Dual;
+    fn div(self, x: Dual) -> Dual {
+        let q = self / x.v;
+        x.chain(q, -q / x.v)
+    }
+}
+
+/// Normalised (N-type, forward-frame) drain current, with the threshold,
+/// saturation voltage and overdrive of the forward device.
 ///
 /// Handles reverse conduction by swapping source and drain.
 fn ids_normalized(
     card: &MosModelCard,
     geom: &MosGeometry,
-    vgs: f64,
-    vds: f64,
-    vsb: f64,
-) -> (f64, Region, f64, f64, f64) {
-    if vds >= 0.0 {
+    vgs: Dual,
+    vds: Dual,
+    vsb: Dual,
+) -> (Dual, Region, f64, f64, f64) {
+    if vds.v >= 0.0 {
         ids_forward(card, geom, vgs, vds, vsb)
     } else {
         // Roles swap: the old drain acts as source. Gate-to-new-source is
@@ -162,10 +327,10 @@ fn ids_normalized(
 fn ids_forward(
     card: &MosModelCard,
     geom: &MosGeometry,
-    vgs: f64,
-    vds: f64,
-    vsb: f64,
-) -> (f64, Region, f64, f64, f64) {
+    vgs: Dual,
+    vds: Dual,
+    vsb: Dual,
+) -> (Dual, Region, f64, f64, f64) {
     // Body effect; clamp the sqrt argument to stay defined under forward
     // body bias excursions during Newton iterations.
     let phi = card.phi.max(0.1);
@@ -175,13 +340,13 @@ fn ids_forward(
 
     // DIBL lowers the threshold with drain bias (Level 3 / BSIM).
     if matches!(card.level, MosLevel::Level3 | MosLevel::Bsim) {
-        vth -= card.eta * vds;
+        vth = vth - card.eta * vds;
     }
 
     // Subthreshold slope factor: from NFS if given, else from the depletion
     // capacitance ratio implied by gamma.
     let n = if card.nfs > 0.0 {
-        card.nfs
+        Dual::constant(card.nfs)
     } else {
         1.0 + card.gamma / (2.0 * sq)
     };
@@ -191,18 +356,18 @@ fn ids_forward(
     let vov_raw = vgs - vth;
     let a = 2.0 * n * VT_THERMAL;
     let x = vov_raw / a;
-    let vov = if x > 30.0 {
+    let vov = if x.v > 30.0 {
         vov_raw
-    } else if x < -60.0 {
-        a * (x).exp() // ln(1+e^x) ~ e^x
+    } else if x.v < -60.0 {
+        a * x.exp() // ln(1+e^x) ~ e^x
     } else {
         a * x.exp().ln_1p()
     };
-    let region_sub = vov_raw < 0.0;
+    let region_sub = vov_raw.v < 0.0;
 
     // Mobility degradation (Level 2 and above).
     let kp_eff = match card.level {
-        MosLevel::Level1 => card.kp,
+        MosLevel::Level1 => Dual::constant(card.kp),
         _ => card.kp / (1.0 + card.theta * vov),
     };
 
@@ -216,17 +381,21 @@ fn ids_forward(
     {
         card.vmax * leff / card.u0 * (1.0 + card.theta * vov)
     } else {
-        f64::INFINITY
+        Dual::constant(f64::INFINITY)
     };
-    let vdsat = if vc.is_finite() {
+    let vdsat = if vc.v.is_finite() {
         vov * vc / (vov + vc)
     } else {
         vov
     };
 
     let clm = 1.0 + lambda_eff(card, geom.l) * vds;
-    let (i, region) = if vds < vdsat {
-        let denom = if vc.is_finite() { 1.0 + vds / vc } else { 1.0 };
+    let (i, region) = if vds.v < vdsat.v {
+        let denom = if vc.v.is_finite() {
+            1.0 + vds / vc
+        } else {
+            Dual::constant(1.0)
+        };
         (beta * (vov - vds / 2.0) * vds / denom * clm, Region::Triode)
     } else {
         let i_sat = 0.5 * beta * vov * vdsat * clm;
@@ -250,7 +419,7 @@ fn ids_forward(
     } else {
         region
     };
-    (i, region, vth, vdsat, vov)
+    (i, region, vth.v, vdsat.v, vov.v)
 }
 
 /// Structure-of-arrays bias storage for batched device evaluation.

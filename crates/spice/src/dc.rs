@@ -1,12 +1,18 @@
 //! Nonlinear DC operating-point analysis.
 //!
-//! Newton-Raphson over the MNA system with two convergence aids that mirror
-//! production SPICE practice:
+//! Newton-Raphson over the MNA system. The solve tries one plain Newton
+//! stage first and falls back to three convergence aids that mirror
+//! production SPICE practice, in this order:
 //!
-//! * **gmin stepping** — a shunt conductance from every node to ground is
-//!   swept from 10 mS down to 1 pS, each stage warm-starting the next;
-//! * **source stepping** — if gmin stepping stalls, all independent sources
-//!   ramp from 5 % to 100 % of their DC value.
+//! 1. **direct Newton** — full sources and the final 1 pS gmin, from the
+//!    source-seeded initial guess; most circuits converge here;
+//! 2. **gmin stepping** — a shunt conductance from every node to ground is
+//!    swept from 10 mS down to 1 pS, each stage warm-starting the next;
+//! 3. **source stepping** — if gmin stepping stalls, all independent sources
+//!    ramp from 5 % to 100 % of their DC value;
+//! 4. **pseudo-transient continuation** — if source stepping stalls too, an
+//!    artificial capacitor on every node relaxes the circuit into a stable
+//!    solution.
 
 use crate::engine::{MatSnapshot, RealSolver};
 use crate::error::SpiceError;
@@ -44,7 +50,9 @@ pub struct OperatingPoint {
     pub(crate) unknowns: Unknowns,
     /// MOSFET operating records by element name.
     pub mos: BTreeMap<String, MosOp>,
-    /// Newton iterations spent in the final (full-bias) stage.
+    /// Newton iterations the solve took, summed over every stage it ran
+    /// (direct, gmin ladder, source stepping, pseudo-transient), failed
+    /// stages included.
     pub iterations: usize,
 }
 
@@ -466,10 +474,16 @@ impl Default for DcOptions {
 
 /// Solves the DC operating point of `circuit`.
 ///
+/// Tries plain Newton at full bias first. Only if that stage fails does
+/// the solve restart from the initial guess and walk the fallbacks in
+/// order: the gmin ladder, then source stepping, then pseudo-transient
+/// continuation. Every stage runs at most [`DcOptions::max_iter`] Newton
+/// iterations and uses the same convergence test.
+///
 /// # Errors
 ///
 /// * [`SpiceError::SingularMatrix`] for structurally singular systems.
-/// * [`SpiceError::NoConvergence`] when both gmin and source stepping fail.
+/// * [`SpiceError::NoConvergence`] when every stage fails.
 /// * [`SpiceError::UnknownModel`] for MOSFETs with missing cards.
 pub fn dc_operating_point(
     circuit: &Circuit,
@@ -478,7 +492,8 @@ pub fn dc_operating_point(
     dc_operating_point_with(circuit, tech, DcOptions::default())
 }
 
-/// [`dc_operating_point`] with explicit options.
+/// [`dc_operating_point`] with explicit options: direct Newton, then the
+/// gmin ladder, source stepping and pseudo-transient as fallbacks.
 ///
 /// # Errors
 ///
@@ -501,62 +516,10 @@ pub fn dc_operating_point_with(
         }
     }
     let u = Unknowns::for_circuit(circuit);
-    let mut x = initial_guess(circuit, &u);
-    let mut eng = DcEngine::new(circuit, tech, &u, &x, opts)?;
-
-    // Stage 1: gmin stepping at full bias.
-    let gmins = [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12];
-    let mut converged = true;
-    let mut final_iters = 0;
-    for (idx, &gmin) in gmins.iter().enumerate() {
-        ape_probe::counter("spice.dc.gmin_steps", 1);
-        match eng.newton(&mut x, gmin, 1.0, opts) {
-            Ok(iters) => {
-                if idx == gmins.len() - 1 {
-                    final_iters = iters;
-                }
-            }
-            Err(_) => {
-                converged = false;
-                break;
-            }
-        }
-    }
-
-    if !converged {
-        // Stage 2: source stepping with a modest gmin, then tighten gmin.
-        x = initial_guess(circuit, &u);
-        let mut ok = true;
-        for k in 1..=20 {
-            ape_probe::counter("spice.dc.source_steps", 1);
-            let scale = k as f64 / 20.0;
-            if eng.newton(&mut x, 1e-9, scale, opts).is_err() {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
-            for &gmin in &[1e-10, 1e-12] {
-                if eng.newton(&mut x, gmin, 1.0, opts).is_err() {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            final_iters = opts.max_iter;
-        } else {
-            // Stage 3: pseudo-transient continuation — an artificial
-            // capacitor on every node damps the Newton dynamics into the
-            // physically reachable solution; the step size grows as the
-            // trajectory settles. The heavy-duty fallback for feedback
-            // circuits with marginal loop gain.
-            ape_probe::counter("spice.dc.ptran_fallbacks", 1);
-            x = eng.pseudo_transient(opts)?;
-            eng.newton(&mut x, 1e-12, 1.0, opts)?;
-            final_iters = opts.max_iter;
-        }
-    }
+    let x0 = initial_guess(circuit, &u);
+    let mut eng = DcEngine::new(circuit, tech, &u, &x0, opts)?;
+    let x = eng.solve(x0, opts)?;
+    let iterations = eng.iterations;
 
     // Collect per-MOSFET operating info at the solution.
     let mut mos = BTreeMap::new();
@@ -608,15 +571,15 @@ pub fn dc_operating_point_with(
         x,
         unknowns: u,
         mos,
-        iterations: final_iters,
+        iterations,
     })
 }
 
 /// The reusable per-analysis DC solve state: backend solver, the static
 /// (linear) matrix snapshot, the unit-scale source vector and the working
 /// right-hand side. Built once per [`dc_operating_point_with`] call and
-/// shared by every gmin/source-stepping stage, so the steady-state Newton
-/// loop performs zero heap allocations.
+/// shared by every stage, so the steady-state Newton loop performs zero
+/// heap allocations.
 pub(crate) struct DcEngine<'a> {
     circuit: &'a Circuit,
     tech: &'a Technology,
@@ -626,6 +589,8 @@ pub(crate) struct DcEngine<'a> {
     rhs_unit: Vec<f64>,
     rhs: Vec<f64>,
     scratch: DeviceScratch,
+    /// Newton iterations run so far, over every stage.
+    iterations: usize,
 }
 
 impl<'a> DcEngine<'a> {
@@ -652,19 +617,66 @@ impl<'a> DcEngine<'a> {
             rhs_unit,
             rhs: vec![0.0; n],
             scratch: DeviceScratch::default(),
+            iterations: 0,
         })
     }
 
-    /// One damped Newton-Raphson stage; returns iterations on success.
+    /// Runs the stages in order until one converges: direct Newton, the
+    /// gmin ladder, source stepping, then pseudo-transient continuation.
+    /// Each stage restarts from the initial guess `x`; within a stage every
+    /// step warm-starts the next.
+    fn solve(&mut self, mut x: Vec<f64>, opts: DcOptions) -> Result<Vec<f64>, SpiceError> {
+        // Stage 1: plain Newton at full bias and the final gmin.
+        if self.newton(&mut x, 1e-12, 1.0, opts).is_ok() {
+            return Ok(x);
+        }
+        ape_probe::counter("spice.dc.direct_fallbacks", 1);
+
+        // Stage 2: gmin stepping at full bias.
+        x = initial_guess(self.circuit, self.u);
+        let laddered = [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12].iter().all(|&gmin| {
+            ape_probe::counter("spice.dc.gmin_steps", 1);
+            self.newton(&mut x, gmin, 1.0, opts).is_ok()
+        });
+        if laddered {
+            return Ok(x);
+        }
+
+        // Stage 3: source stepping with a modest gmin, then tighten gmin.
+        x = initial_guess(self.circuit, self.u);
+        let ramped = (1..=20).all(|k| {
+            ape_probe::counter("spice.dc.source_steps", 1);
+            self.newton(&mut x, 1e-9, k as f64 / 20.0, opts).is_ok()
+        }) && [1e-10, 1e-12]
+            .iter()
+            .all(|&gmin| self.newton(&mut x, gmin, 1.0, opts).is_ok());
+        if ramped {
+            return Ok(x);
+        }
+
+        // Stage 4: pseudo-transient continuation — an artificial capacitor
+        // on every node damps the Newton dynamics into the physically
+        // reachable solution; the step size grows as the trajectory
+        // settles. The heavy-duty fallback for feedback circuits with
+        // marginal loop gain.
+        ape_probe::counter("spice.dc.ptran_fallbacks", 1);
+        x = self.pseudo_transient(opts)?;
+        self.newton(&mut x, 1e-12, 1.0, opts)?;
+        Ok(x)
+    }
+
+    /// One damped Newton-Raphson stage; its iterations count towards
+    /// `self.iterations` whether or not it converges.
     pub(crate) fn newton(
         &mut self,
         x: &mut [f64],
         gmin: f64,
         srcscale: f64,
         opts: DcOptions,
-    ) -> Result<usize, SpiceError> {
+    ) -> Result<(), SpiceError> {
         let n = self.u.dim();
         for it in 0..opts.max_iter {
+            self.iterations += 1;
             // Static part from the snapshot, gmin diagonal, scaled sources,
             // then only the device linearisations are re-stamped.
             self.solver.restore(&self.linear);
@@ -703,7 +715,7 @@ impl<'a> DcEngine<'a> {
             }
             if worst < 1.0 {
                 ape_probe::counter("spice.dc.nr_iters", (it + 1) as u64);
-                return Ok(it + 1);
+                return Ok(());
             }
         }
         ape_probe::counter("spice.dc.nr_iters", opts.max_iter as u64);
@@ -728,6 +740,7 @@ impl<'a> DcEngine<'a> {
             x_prev.copy_from_slice(&x);
             let mut converged = false;
             for _ in 0..40 {
+                self.iterations += 1;
                 self.solver.restore(&self.linear);
                 let geq = c_art / h;
                 for r in 0..n_nodes {
@@ -878,9 +891,8 @@ mod tests {
         assert!((op.voltage(o) + 1.0).abs() < 1e-6);
     }
 
-    #[test]
-    fn diode_connected_nmos() {
-        let tech = Technology::default_1p2um();
+    /// A diode-connected NMOS fed 50 µA.
+    fn diode_circuit() -> Circuit {
         let mut c = Circuit::new("diode");
         let d = c.node("d");
         c.add_idc("I1", Circuit::GROUND, d, 50e-6).unwrap();
@@ -895,6 +907,14 @@ mod tests {
             MosGeometry::new(20e-6, 2.4e-6),
         )
         .unwrap();
+        c
+    }
+
+    #[test]
+    fn diode_connected_nmos() {
+        let tech = Technology::default_1p2um();
+        let c = diode_circuit();
+        let d = c.find_node("d").unwrap();
         let op = dc_operating_point(&c, &tech).unwrap();
         let v = op.voltage(d);
         // Must sit a bit above vth with vov = sqrt(2 I L / (kp W)).
@@ -935,9 +955,8 @@ mod tests {
         assert!((ir - m.eval.ids).abs() / ir < 1e-3);
     }
 
-    #[test]
-    fn pmos_current_mirror() {
-        let tech = Technology::default_1p2um();
+    /// A 20 µA PMOS mirror into a 10 kΩ load.
+    fn pmos_mirror_circuit() -> Circuit {
         let mut c = Circuit::new("pmirror");
         let vdd = c.node("vdd");
         let ref_n = c.node("ref");
@@ -960,6 +979,14 @@ mod tests {
         c.add_mosfet("M2", out, ref_n, vdd, vdd, MosPolarity::Pmos, "CMOSP", geom)
             .unwrap();
         c.add_resistor("RL", out, Circuit::GROUND, 10e3).unwrap();
+        c
+    }
+
+    #[test]
+    fn pmos_current_mirror() {
+        let tech = Technology::default_1p2um();
+        let c = pmos_mirror_circuit();
+        let out = c.find_node("out").unwrap();
         let op = dc_operating_point(&c, &tech).unwrap();
         let iout = op.voltage(out) / 10e3;
         // Channel-length modulation makes a simple mirror overshoot:
@@ -969,6 +996,43 @@ mod tests {
             "mirrored current {iout}"
         );
         assert!(iout > 20e-6, "clm should make the copy overshoot");
+    }
+
+    /// Starved of iterations, the direct stage fails and the fallbacks
+    /// must still land on the operating point the direct stage finds.
+    #[test]
+    fn fallback_stages_reach_the_direct_solution() {
+        let tech = Technology::default_1p2um();
+        for (c, max_iter) in [(diode_circuit(), 4), (pmos_mirror_circuit(), 8)] {
+            let direct = dc_operating_point(&c, &tech).unwrap();
+            assert!(
+                direct.iterations < DcOptions::default().max_iter,
+                "{}: {} iterations",
+                c.title,
+                direct.iterations
+            );
+            let opts = DcOptions {
+                max_iter,
+                ..DcOptions::default()
+            };
+            let fallback = dc_operating_point_with(&c, &tech, opts).unwrap();
+            // A failed direct stage alone spends max_iter iterations.
+            assert!(
+                fallback.iterations > max_iter,
+                "{}: {} iterations",
+                c.title,
+                fallback.iterations
+            );
+            for idx in 1..c.num_nodes() {
+                let n = NodeId::new(idx as u32);
+                let (a, b) = (fallback.voltage(n), direct.voltage(n));
+                assert!(
+                    (a - b).abs() < opts.vtol,
+                    "{}: node {idx}: {a} vs {b}",
+                    c.title
+                );
+            }
+        }
     }
 
     #[test]

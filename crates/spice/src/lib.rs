@@ -5,8 +5,9 @@
 //! [`Circuit`](ape_netlist::Circuit)/[`Technology`](ape_netlist::Technology)
 //! representation:
 //!
-//! * [`dc_operating_point`] — nonlinear DC via Newton-Raphson with gmin and
-//!   source stepping;
+//! * [`dc_operating_point`] — nonlinear DC via Newton-Raphson: direct
+//!   Newton first, then the gmin ladder, source stepping and
+//!   pseudo-transient continuation as fallbacks;
 //! * [`ac_sweep`] — small-signal complex-phasor analysis linearised at an
 //!   operating point;
 //! * [`transient`] — trapezoidal time-domain integration.
