@@ -3,10 +3,10 @@
 //!
 //! Usage: `cargo run --release -p ape-bench --bin table1 [evals]`
 
+use ape_bench::rows::{blind_synthesis, AuditCells};
 use ape_bench::specs::table1_opamps;
 use ape_bench::{fmt_val, render_table};
 use ape_netlist::Technology;
-use ape_oblx::{synthesize, InitialPoint, SynthesisOptions};
 
 fn main() {
     let _trace = ape_probe::install_from_env();
@@ -18,43 +18,18 @@ fn main() {
     println!("Table 1: stand-alone synthesis (blind intervals), {evals} evaluations each\n");
     let mut rows = Vec::new();
     for task in table1_opamps() {
-        let opts = SynthesisOptions {
-            max_evals: evals,
-            seed: 1000 + task.name.as_bytes()[2] as u64,
-            ..SynthesisOptions::default()
-        };
-        let out = synthesize(
-            &tech,
-            task.topology,
-            &task.spec,
-            &InitialPoint::Blind,
-            &opts,
-        )
-        .expect("spec is well-formed");
-        let (gain, ugf, area, power, comment) = match &out.audit {
-            Ok(a) => (
-                a.measured.dc_gain.unwrap_or(0.0),
-                a.measured.ugf_hz.unwrap_or(0.0) * 1e-6,
-                a.measured.gate_area_um2(),
-                a.measured.power_mw(),
-                if a.meets_spec() {
-                    "Meets spec".to_string()
-                } else {
-                    a.violations.join("; ")
-                },
-            ),
-            Err(f) => (0.0, 0.0, 0.0, 0.0, format!("doesn't work ({}).", f.reason)),
-        };
+        let out = blind_synthesis(&tech, &task, evals).expect("spec is well-formed");
+        let cells = AuditCells::of(&out);
         rows.push(vec![
             task.name.to_string(),
             format!("{:.0}", task.spec.gain),
             format!("{:.1}", task.spec.ugf_hz * 1e-6),
-            fmt_val(gain),
-            fmt_val(ugf),
-            fmt_val(area),
-            fmt_val(power),
+            fmt_val(cells.gain),
+            fmt_val(cells.ugf_mhz),
+            fmt_val(cells.area_um2),
+            fmt_val(cells.power_mw),
             format!("{:.2}", out.wall.as_secs_f64()),
-            comment,
+            cells.verdict,
         ]);
     }
     println!(

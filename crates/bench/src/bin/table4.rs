@@ -6,12 +6,12 @@
 //!
 //! Usage: `cargo run --release -p ape-bench --bin table4 [evals] [--with-blind]`
 
+use ape_bench::rows::{blind_synthesis, seeded_synthesis, AuditCells};
 use ape_bench::specs::table1_opamps;
 use ape_bench::{fmt_val, render_table};
 use ape_core::module::{SallenKeyLowPass, SampleHold};
 use ape_core::opamp::OpAmp;
 use ape_netlist::Technology;
-use ape_oblx::{design_point_from_ape, synthesize, InitialPoint, SynthesisOptions};
 use std::time::Instant;
 
 fn main() {
@@ -40,41 +40,10 @@ fn main() {
 
     let mut rows = Vec::new();
     for (task, ape_design) in table1_opamps().iter().zip(&designs) {
-        let seed = 1000 + task.name.as_bytes()[2] as u64;
-        let opts = SynthesisOptions {
-            max_evals: evals,
-            seed,
-            ..SynthesisOptions::default()
-        };
-        let init = InitialPoint::ApeSeeded {
-            point: design_point_from_ape(&tech, ape_design),
-            interval_frac: 0.2,
-        };
-        let out = synthesize(&tech, task.topology, &task.spec, &init, &opts)
-            .expect("spec is well-formed");
-        let (gain, ugf, area, power, comment) = match &out.audit {
-            Ok(a) => (
-                a.measured.dc_gain.unwrap_or(0.0),
-                a.measured.ugf_hz.unwrap_or(0.0) * 1e-6,
-                a.measured.gate_area_um2(),
-                a.measured.power_mw(),
-                if a.meets_spec() {
-                    "Meets spec".to_string()
-                } else {
-                    a.violations.join("; ")
-                },
-            ),
-            Err(f) => (0.0, 0.0, 0.0, 0.0, format!("doesn't work ({}).", f.reason)),
-        };
+        let out = seeded_synthesis(&tech, task, ape_design, evals).expect("spec is well-formed");
+        let cells = AuditCells::of(&out);
         let speedup = if with_blind {
-            let blind = synthesize(
-                &tech,
-                task.topology,
-                &task.spec,
-                &InitialPoint::Blind,
-                &opts,
-            )
-            .expect("spec is well-formed");
+            let blind = blind_synthesis(&tech, task, evals).expect("spec is well-formed");
             let s = 100.0 * (1.0 - out.wall.as_secs_f64() / blind.wall.as_secs_f64().max(1e-9));
             format!("{s:.1}%")
         } else {
@@ -82,14 +51,14 @@ fn main() {
         };
         rows.push(vec![
             task.name.to_string(),
-            fmt_val(gain),
-            fmt_val(ugf),
-            fmt_val(area),
-            fmt_val(power),
+            fmt_val(cells.gain),
+            fmt_val(cells.ugf_mhz),
+            fmt_val(cells.area_um2),
+            fmt_val(cells.power_mw),
             format!("{:.2}", out.wall.as_secs_f64()),
             format!("{}", out.evals),
             speedup,
-            comment,
+            cells.verdict,
         ]);
     }
     println!(

@@ -1,4 +1,5 @@
-//! Est-vs-sim row computations for Tables 2, 3 and 5.
+//! Row computations for the paper's tables: est-vs-sim rows for Tables 2,
+//! 3 and 5, and the synthesis runs behind Tables 1 and 4.
 
 use crate::specs::OpAmpTask;
 use ape_core::basic::{
@@ -8,6 +9,9 @@ use ape_core::basic::{
 use ape_core::module::{AudioAmplifier, FlashAdc, SallenKeyBandPass, SallenKeyLowPass, SampleHold};
 use ape_core::opamp::OpAmp;
 use ape_netlist::{Circuit, SourceWaveform, Technology};
+use ape_oblx::{
+    design_point_from_ape, synthesize, InitialPoint, OblxError, SynthesisOptions, SynthesisOutcome,
+};
 use ape_spice::{
     ac_sweep, dc_operating_point, decade_frequencies, measure, transient, TranOptions,
 };
@@ -655,6 +659,93 @@ pub fn table5_ape_rows(tech: &Technology) -> Result<Vec<ComponentRow>, BoxError>
     }
 
     Ok(rows)
+}
+
+/// The options Tables 1 and 4 synthesize a Table-1 spec with: the default
+/// engine and `evals` evaluations, seeded `1000 +` the byte of the
+/// circuit's digit (`oa3` → 1051) so that every row draws its own stream.
+fn table1_synthesis_options(task: &OpAmpTask, evals: usize) -> SynthesisOptions {
+    SynthesisOptions {
+        max_evals: evals,
+        seed: 1000 + u64::from(task.name.as_bytes()[2]),
+        ..SynthesisOptions::default()
+    }
+}
+
+/// Table 1's run: `task` synthesized blind, over decade-wide intervals.
+///
+/// # Errors
+///
+/// Only a malformed spec or cancellation (see [`synthesize`]).
+pub fn blind_synthesis(
+    tech: &Technology,
+    task: &OpAmpTask,
+    evals: usize,
+) -> Result<SynthesisOutcome, OblxError> {
+    let opts = table1_synthesis_options(task, evals);
+    synthesize(tech, task.topology, &task.spec, &InitialPoint::Blind, &opts)
+}
+
+/// Table 4's run: `task` synthesized from `ape`, APE's sizing of it, with
+/// the paper's ±20 % intervals.
+///
+/// # Errors
+///
+/// Only a malformed spec or cancellation (see [`synthesize`]).
+pub fn seeded_synthesis(
+    tech: &Technology,
+    task: &OpAmpTask,
+    ape: &OpAmp,
+    evals: usize,
+) -> Result<SynthesisOutcome, OblxError> {
+    let init = InitialPoint::ApeSeeded {
+        point: design_point_from_ape(tech, ape),
+        interval_frac: 0.2,
+    };
+    let opts = table1_synthesis_options(task, evals);
+    synthesize(tech, task.topology, &task.spec, &init, &opts)
+}
+
+/// The audited cells of a Table 1 or Table 4 row.
+#[derive(Debug, Clone)]
+pub struct AuditCells {
+    /// Simulated DC gain (0 when the audit produced no report).
+    pub gain: f64,
+    /// Simulated unity-gain frequency, MHz.
+    pub ugf_mhz: f64,
+    /// Gate area, µm².
+    pub area_um2: f64,
+    /// Power, mW.
+    pub power_mw: f64,
+    /// `"Meets spec"`, the violations joined by `"; "`, or why the audit
+    /// produced no report.
+    pub verdict: String,
+}
+
+impl AuditCells {
+    /// The cells of `out`'s full-simulation audit.
+    pub fn of(out: &SynthesisOutcome) -> AuditCells {
+        match &out.audit {
+            Ok(a) => AuditCells {
+                gain: a.measured.dc_gain.unwrap_or(0.0),
+                ugf_mhz: a.measured.ugf_hz.unwrap_or(0.0) * 1e-6,
+                area_um2: a.measured.gate_area_um2(),
+                power_mw: a.measured.power_mw(),
+                verdict: if a.meets_spec() {
+                    "Meets spec".to_string()
+                } else {
+                    a.violations.join("; ")
+                },
+            },
+            Err(f) => AuditCells {
+                gain: 0.0,
+                ugf_mhz: 0.0,
+                area_um2: 0.0,
+                power_mw: 0.0,
+                verdict: format!("doesn't work ({}).", f.reason),
+            },
+        }
+    }
 }
 
 #[cfg(test)]

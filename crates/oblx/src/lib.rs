@@ -11,8 +11,9 @@
 //! * user-supplied **intervals** on the unknowns — decade-wide when blind,
 //!   ±20 % around an APE sizing when seeded ([`InitialPoint`]);
 //! * a **cost function** compiled from the specifications with
-//!   relative-shortfall penalties and small area/power objectives
-//!   ([`cost::cost`]);
+//!   relative-shortfall penalties and area/power objectives squashed
+//!   below the stop target ([`cost::cost`], [`cost::TARGET_COST`]), so a
+//!   search stops on the first candidate that meets every spec;
 //! * **simulated annealing** over the interval box (`ape_solve::SaSolver`,
 //!   the default of the `ape-solve` engines [`synthesize`] can run), each
 //!   move evaluated with a DC solve plus an **AWE reduced model**

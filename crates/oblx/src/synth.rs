@@ -2,7 +2,7 @@
 //! variables, simulated annealing (the ASTRX/OBLX default) among them.
 
 use crate::audit::{audit_candidate, AuditFailure, AuditReport};
-use crate::cost::{cost, CostWeights};
+use crate::cost::{cost, CostWeights, TARGET_COST};
 use crate::error::OblxError;
 use crate::eval::{evaluate_candidate_with, EvalFidelity};
 use crate::vars::{blind_center, blind_ranges, seeded_ranges, DesignPoint};
@@ -15,10 +15,6 @@ use ape_solve::{
 };
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Feasible designs cost only their small objective terms; the search can
-/// stop once it is comfortably inside that region.
-const TARGET_COST: f64 = 0.04;
 
 /// Where the search starts and how wide the intervals are.
 #[derive(Debug, Clone, PartialEq)]
@@ -566,7 +562,7 @@ mod tests {
             },
             max_evals: opts.max_evals,
             seed: opts.seed,
-            target_cost: 0.04,
+            target_cost: TARGET_COST,
         };
         let reference = anneal_with_observer(
             start,

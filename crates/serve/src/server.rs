@@ -291,15 +291,20 @@ impl Server {
                 let _ = writeln!(stream, "{}", err_response(0, &err));
                 continue;
             }
-            let state = state.clone();
-            let _ = std::thread::Builder::new()
+            // Count the connection before its thread exists, so the next
+            // accept already sees it against the cap.
+            state.open_conns.fetch_add(1, Ordering::Relaxed);
+            let conn_state = state.clone();
+            let spawned = std::thread::Builder::new()
                 .name("ape-serve-conn".to_string())
                 .spawn(move || {
-                    state.open_conns.fetch_add(1, Ordering::Relaxed);
-                    state.stats.connections.fetch_add(1, Ordering::Relaxed);
-                    handle_conn(&state, stream);
-                    state.open_conns.fetch_sub(1, Ordering::Relaxed);
+                    conn_state.stats.connections.fetch_add(1, Ordering::Relaxed);
+                    handle_conn(&conn_state, stream);
+                    conn_state.open_conns.fetch_sub(1, Ordering::Relaxed);
                 });
+            if spawned.is_err() {
+                state.open_conns.fetch_sub(1, Ordering::Relaxed);
+            }
         }
         Ok(())
     }

@@ -271,6 +271,32 @@ fn connection_budget_rejects_with_429() {
     server.stop();
 }
 
+/// Two connects back to back against a cap of one: the accept loop must
+/// count the first before it takes the second, however late the first
+/// connection's thread starts.
+#[test]
+fn connection_cap_holds_for_back_to_back_connects() {
+    let config = ServerConfig {
+        max_connections: 1,
+        ..ServerConfig::default()
+    };
+    let server = start(config);
+    let mut first = Client::connect(server.addr()).unwrap();
+    let mut second = Client::connect(server.addr()).unwrap();
+    second
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let err = second.recv().unwrap().outcome.unwrap_err();
+    assert!(is_code(&err, ErrorCode::Overloaded), "{err}");
+    let eof = second.recv().unwrap_err();
+    assert_eq!(eof.kind(), std::io::ErrorKind::UnexpectedEof, "{eof}");
+    first
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    assert!(first.ping().unwrap());
+    server.stop();
+}
+
 #[test]
 fn mid_request_disconnect_cancels_cleanly() {
     let server = start(ServerConfig::default());

@@ -116,3 +116,34 @@ fn all_ten_table1_specs_size_through_ape() {
     // Generous bound (debug builds are slow): well under a second each.
     assert!(t0.elapsed().as_secs_f64() < 10.0);
 }
+
+/// The paper's Table 4 claim, through the `table4` bin's own code path:
+/// an APE start point with ±20 % intervals meets spec almost at once. Each
+/// of the nine feasible Table-1 specs meets spec within 30 of its 400
+/// evaluations; oa6's 200 µm² budget is out of this process's reach, so it
+/// spends the whole budget and the audit reports the area violation.
+#[test]
+fn seeded_table4_runs_meet_every_feasible_spec_within_30_evals() {
+    use ape_bench::rows::{seeded_synthesis, AuditCells};
+    let tech = Technology::default_1p2um();
+    let budget = 400;
+    for task in ape_bench::specs::table1_opamps() {
+        let amp = OpAmp::design(&tech, task.topology, task.spec).expect("APE sizes every spec");
+        let out = seeded_synthesis(&tech, &task, &amp, budget).expect("spec is well-formed");
+        let verdict = AuditCells::of(&out).verdict;
+        if task.name == "oa6" {
+            assert_eq!(out.evals, budget, "oa6 stopped early: {verdict}");
+            assert!(
+                !out.meets_spec() && verdict.starts_with("area "),
+                "oa6 audit: {verdict}"
+            );
+        } else {
+            assert!(
+                out.meets_spec() && out.evals <= 30,
+                "{}: {} evals, audit: {verdict}",
+                task.name,
+                out.evals
+            );
+        }
+    }
+}
