@@ -1,10 +1,10 @@
 //! Solver-path benchmarks: DC, AC, and transient on the paper's testbench
-//! circuits, dense backend vs the sparse pattern-cached path, with the AC
-//! sweep additionally fanned out over 1/2/4/8 threads.
+//! circuits, dense backend vs the sparse path, with the AC sweep
+//! additionally fanned out over 1/2/4/8 threads.
 //!
 //! Prints aligned tables and writes a machine-readable summary to
 //! `results/BENCH_spice.json` (analyses per second, solver allocation
-//! counters, symbolic-cache statistics).
+//! counters, latency quantiles).
 //!
 //! Run with `cargo run --release -p ape-bench --bin spice`; pass `--smoke`
 //! for the fast CI variant (fewer samples and frequency points).
@@ -18,8 +18,7 @@ use ape_core::opamp::OpAmp;
 use ape_netlist::{Circuit, Technology};
 use ape_spice::{
     ac_sweep_on, ac_sweep_with, alloc_events, dc_operating_point_with, decade_frequencies,
-    symbolic_cache_stats, transient, AcOptions, Backend, DcOptions, OperatingPoint, TranOptions,
-    Unknowns,
+    transient, AcOptions, Backend, DcOptions, OperatingPoint, TranOptions, Unknowns,
 };
 use std::time::Instant;
 
@@ -227,7 +226,6 @@ fn write_json(results: &[CaseResult], samples: u32, lat: &Latencies) {
         .map(|r| obj([("name", s(r.name)), ("ac_sweeps_per_s", per_s(&r.ac_exec))]))
         .collect();
     let threads = nums(&THREADS.map(|t| t as f64));
-    let (hits, misses, repivots) = symbolic_cache_stats();
     write_bench(
         "spice",
         obj([
@@ -239,14 +237,6 @@ fn write_json(results: &[CaseResult], samples: u32, lat: &Latencies) {
                 obj([
                     ("workers", threads),
                     ("circuits", Value::Arr(executor_circuits)),
-                ]),
-            ),
-            (
-                "symbolic_cache",
-                obj([
-                    ("hits", n(hits as f64)),
-                    ("misses", n(misses as f64)),
-                    ("repivots", n(repivots as f64)),
                 ]),
             ),
             (

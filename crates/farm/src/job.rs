@@ -130,6 +130,11 @@ pub enum FarmError {
     /// registered with [`Farm::register_calibration`](crate::Farm::register_calibration).
     /// The job is rejected before it is admitted or joins a flight.
     UnknownCalibration(u64),
+    /// A registration would add a new technology or calibration table to
+    /// a farm that already holds [`MAX_REGISTERED`](crate::pool::MAX_REGISTERED)
+    /// of them. Nothing was stored; fingerprints already registered still
+    /// work.
+    RegistryFull,
     /// A submission paired a calibration with a technology other than the
     /// one the table was fitted for. Applying it would silently correct
     /// with the wrong anchors, so the job is rejected up front.
@@ -157,6 +162,11 @@ impl std::fmt::Display for FarmError {
             FarmError::UnknownCalibration(fp) => {
                 write!(f, "unknown calibration fingerprint {fp:#018x}")
             }
+            FarmError::RegistryFull => write!(
+                f,
+                "registry full: at most {} registrations of each kind",
+                crate::pool::MAX_REGISTERED
+            ),
             FarmError::CalibrationMismatch { expected, got } => write!(
                 f,
                 "calibration was fitted for technology {got:#018x}, job runs on {expected:#018x}"

@@ -28,8 +28,8 @@
 //! byte-identical output however the executor schedules them, because
 //! every job is executed as a pure function of `(technology, request)` —
 //! the estimation graph's bit-exact memo keys make a warm thread return
-//! exactly what a cold one would, and every job runs against an empty
-//! sparse-solver symbolic cache — and results are collected in grid order.
+//! exactly what a cold one would, and a SPICE solve keeps nothing between
+//! calls — and results are collected in grid order.
 //!
 //! Everything is built on `std` only — no external dependencies — and the
 //! whole stack is instrumented with [`ape_probe`] spans, counters, and
@@ -45,5 +45,5 @@ pub mod pool;
 pub mod sweep;
 
 pub use job::{canonical_key, FarmError, Request, Response};
-pub use pool::{Farm, FarmConfig, FarmStats, JobHandle, SubmitOptions};
+pub use pool::{Farm, FarmConfig, FarmStats, JobHandle, SubmitOptions, MAX_REGISTERED};
 pub use sweep::{SweepMetrics, SweepPlan, SweepPoint, SweepRecord, SweepReport};

@@ -51,6 +51,17 @@ impl Default for FarmConfig {
     }
 }
 
+/// Most tenant technologies, and separately most calibration tables, a
+/// farm accepts from its clients. Every registration stays resident for
+/// the farm's lifetime, so the cap bounds the memory a client can pin;
+/// registering a fingerprint that is already present always succeeds.
+/// The farm's default technology does not count against it.
+///
+/// Nothing is ever evicted and there is no unregister operation: once one
+/// client has filled a map, every client's new registration of that kind
+/// is refused until the farm (for `ape-serve`, the daemon) is restarted.
+pub const MAX_REGISTERED: usize = 64;
+
 /// Counters accumulated over a farm's lifetime (monotonic, racy reads).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FarmStats {
@@ -344,15 +355,20 @@ impl Farm {
     /// cards that differ only in `name` share a fingerprint by design
     /// (the fingerprint covers process-relevant fields only) and the first
     /// registration wins.
-    pub fn register_technology(&self, tech: Technology) -> u64 {
-        let fp = tech.fingerprint();
+    ///
+    /// # Errors
+    ///
+    /// [`FarmError::RegistryFull`] when the card is new and the farm
+    /// already holds [`MAX_REGISTERED`] tenant technologies besides its
+    /// default one.
+    pub fn register_technology(&self, tech: Technology) -> Result<u64, FarmError> {
         let mut tenants = self
             .shared
             .tenants
             .write()
             .unwrap_or_else(|e| e.into_inner());
-        tenants.entry(fp).or_insert_with(|| Arc::new(tech));
-        fp
+        // The default technology sits in the map but is not a registration.
+        register(&mut tenants, MAX_REGISTERED + 1, tech.fingerprint(), tech)
     }
 
     /// Looks up a registered tenant technology by fingerprint.
@@ -367,15 +383,18 @@ impl Farm {
     /// different id: jobs selecting it key differently from jobs that ran
     /// under the old table, which is what makes in-flight deduplication
     /// (and the shared estimation memos) safe across re-registration.
-    pub fn register_calibration(&self, cal: Calibration) -> u64 {
-        let fp = cal.fingerprint();
+    ///
+    /// # Errors
+    ///
+    /// [`FarmError::RegistryFull`] when the table is new and the farm
+    /// already holds [`MAX_REGISTERED`] calibration tables.
+    pub fn register_calibration(&self, cal: Calibration) -> Result<u64, FarmError> {
         let mut cals = self
             .shared
             .calibrations
             .write()
             .unwrap_or_else(|e| e.into_inner());
-        cals.entry(fp).or_insert_with(|| Arc::new(cal));
-        fp
+        register(&mut cals, MAX_REGISTERED, cal.fingerprint(), cal)
     }
 
     /// Looks up a registered calibration table by fingerprint.
@@ -387,14 +406,6 @@ impl Farm {
     /// [`FarmConfig::shared_graph`] is enabled.
     pub fn shared_memo(&self) -> Option<&Arc<SharedMemo>> {
         self.shared.shared_graph.as_ref()
-    }
-
-    /// Human-readable summary of the sparse solver's symbolic-factorisation
-    /// cache, in the same spirit as [`ape_core::graph::graph_report`]. Each
-    /// farm job runs against an empty cache, so its pivot orders are its
-    /// own.
-    pub fn solver_cache_report(&self) -> String {
-        ape_spice::symbolic_cache_report()
     }
 
     /// Distribution of per-job queue wait (admission → start on an executor
@@ -505,7 +516,7 @@ impl Farm {
     /// again; the returned handle then waits on the shared flight. The job
     /// always runs on an executor thread, never on the caller, so a
     /// submission leaves the calling thread's estimation-graph attachments
-    /// and solver cache untouched.
+    /// untouched.
     pub fn submit(&self, req: Request) -> JobHandle {
         self.submit_opts(req, SubmitOptions::default())
     }
@@ -716,6 +727,24 @@ fn run_job(shared: &Shared, item: &WorkItem) {
     finish.outcome = Some(result);
 }
 
+/// Stores `value` under `fp` unless `fp` is already present, refusing a
+/// new fingerprint once `map` holds `cap` entries.
+fn register<V>(
+    map: &mut HashMap<u64, Arc<V>>,
+    cap: usize,
+    fp: u64,
+    value: V,
+) -> Result<u64, FarmError> {
+    if !map.contains_key(&fp) {
+        if map.len() >= cap {
+            ape_probe::counter("ape.farm.registry_full", 1);
+            return Err(FarmError::RegistryFull);
+        }
+        map.insert(fp, Arc::new(value));
+    }
+    Ok(fp)
+}
+
 fn run_item(item: &WorkItem) -> Result<Response, FarmError> {
     // Parent the job span under the innermost span that was open on the
     // submitting thread, so a sweep's jobs hang off its request span in
@@ -725,14 +754,7 @@ fn run_item(item: &WorkItem) -> Result<Response, FarmError> {
         return Err(FarmError::Cancelled);
     }
     let _token_guard = cancel::set_current(item.cancel.clone());
-    // A cached pivot order is a function of the job that built it; each
-    // job starts cold so its floating-point path doesn't depend on what
-    // ran before it on the same thread, and the thread's own cache is put
-    // back afterwards.
-    let outcome = ape_spice::with_fresh_symbolic_cache(|| {
-        catch_unwind(AssertUnwindSafe(|| execute(&item.tech, &item.req)))
-    });
-    match outcome {
+    match catch_unwind(AssertUnwindSafe(|| execute(&item.tech, &item.req))) {
         Ok(result) => result,
         Err(payload) => {
             let msg = payload

@@ -6,7 +6,7 @@
 use ape_core::basic::MirrorTopology;
 use ape_core::cancel::CancelToken;
 use ape_core::opamp::{OpAmp, OpAmpSpec, OpAmpTopology};
-use ape_farm::{Farm, FarmConfig, FarmError, Request, SubmitOptions};
+use ape_farm::{Farm, FarmConfig, FarmError, Request, SubmitOptions, MAX_REGISTERED};
 use ape_netlist::Technology;
 use std::time::Duration;
 
@@ -32,7 +32,9 @@ fn design(gain: f64) -> Request {
 fn tenant_technology_selects_the_registered_card() {
     let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
     let other = Technology::default_0p5um();
-    let fp = farm.register_technology(other.clone());
+    let fp = farm
+        .register_technology(other.clone())
+        .expect("room to register");
     assert_eq!(fp, other.fingerprint());
     assert!(farm.technology_by_fingerprint(fp).is_some());
     // The default technology is registered at construction too.
@@ -66,6 +68,65 @@ fn tenant_technology_selects_the_registered_card() {
         format!("{:?}", tenant_amp.as_opamp().unwrap()),
         format!("{:?}", default_amp.as_opamp().unwrap())
     );
+}
+
+/// Registrations stay resident, so a client may add at most
+/// `MAX_REGISTERED` technologies and as many calibration tables. A new
+/// fingerprint past the cap is refused and stores nothing; one already
+/// present registers again at the cap, and the default card never counts.
+#[test]
+fn registrations_stop_at_the_cap_and_re_registering_is_idempotent() {
+    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
+    let card = |k: usize| {
+        let mut tech = Technology::default_1p2um();
+        tech.vdd = 3.0 + 0.01 * k as f64;
+        tech
+    };
+    let default_fp = farm.technology().fingerprint();
+    let techs: Vec<u64> = (0..MAX_REGISTERED)
+        .map(|k| farm.register_technology(card(k)).expect("under the cap"))
+        .collect();
+    let refused = card(MAX_REGISTERED);
+    assert_eq!(
+        farm.register_technology(refused.clone()),
+        Err(FarmError::RegistryFull)
+    );
+    assert!(farm
+        .technology_by_fingerprint(refused.fingerprint())
+        .is_none());
+    for (k, &fp) in techs.iter().enumerate() {
+        assert_eq!(farm.register_technology(card(k)), Ok(fp));
+    }
+    assert_eq!(
+        farm.register_technology(Technology::default_1p2um()),
+        Ok(default_fp)
+    );
+
+    let table = |k: usize| ape_calib::Calibration::identity(default_fp, &format!("t{k}"));
+    let tables: Vec<u64> = (0..MAX_REGISTERED)
+        .map(|k| farm.register_calibration(table(k)).expect("under the cap"))
+        .collect();
+    let refused = table(MAX_REGISTERED);
+    assert_eq!(
+        farm.register_calibration(refused.clone()),
+        Err(FarmError::RegistryFull)
+    );
+    assert!(farm
+        .calibration_by_fingerprint(refused.fingerprint())
+        .is_none());
+    for (k, &fp) in tables.iter().enumerate() {
+        assert_eq!(farm.register_calibration(table(k)), Ok(fp));
+    }
+
+    // Registered entries keep working at the cap.
+    let h = farm.submit_opts(
+        design(200.0),
+        SubmitOptions {
+            technology: Some(techs[0]),
+            ..SubmitOptions::default()
+        },
+    );
+    assert!(h.wait().is_ok());
 }
 
 #[test]

@@ -13,8 +13,8 @@
 //! | op              | payload                                                        |
 //! |-----------------|----------------------------------------------------------------|
 //! | `ping`          | —                                                              |
-//! | `register_tech` | `base` (`"1p2um"`/`"0p5um"`), optional `name`/`vdd`/`vss`/`lmin`/`wmin` overrides |
-//! | `register_calibration` | `table` (a calibration document as produced by `ape-calib`) |
+//! | `register_tech` | `base` (`"1p2um"`/`"0p5um"`), optional `name`/`vdd`/`vss`/`lmin`/`wmin` overrides; a new card past the farm's cap answers `registry_full` (507) |
+//! | `register_calibration` | `table` (a calibration document as produced by `ape-calib`); a new table past the cap answers `registry_full` (507) |
 //! | `design`        | `topology{mirror,buffer}`, `spec{gain,ugf_hz,area_max_m2,ibias,cl[,zout_ohm]}`, optional `technology`, `calibration`, `deadline_ms` |
 //! | `estimate`      | `deck` (SPICE text), `output` (node name), optional `technology`, `calibration`, `deadline_ms` |
 //! | `cancel`        | `target` (the id of an in-flight request on this connection)   |
@@ -47,6 +47,10 @@ pub enum ErrorCode {
     /// `calibration` referenced a table fitted for a different technology
     /// than the request runs on.
     CalibrationMismatch,
+    /// A registration would add a new technology or calibration table past
+    /// the farm's cap ([`ape_farm::MAX_REGISTERED`] of each kind). Earlier
+    /// registrations stay usable; retrying cannot succeed.
+    RegistryFull,
     /// Admission control rejected the request (connection budget or farm
     /// queue full). Retry after draining in-flight work.
     Overloaded,
@@ -71,6 +75,7 @@ impl ErrorCode {
             ErrorCode::UnknownTechnology => "unknown_technology",
             ErrorCode::UnknownCalibration => "unknown_calibration",
             ErrorCode::CalibrationMismatch => "calibration_mismatch",
+            ErrorCode::RegistryFull => "registry_full",
             ErrorCode::Overloaded => "overloaded",
             ErrorCode::DeadlineExceeded => "deadline_exceeded",
             ErrorCode::Cancelled => "cancelled",
@@ -88,6 +93,7 @@ impl ErrorCode {
             ErrorCode::UnknownTechnology => 404,
             ErrorCode::UnknownCalibration => 404,
             ErrorCode::CalibrationMismatch => 409,
+            ErrorCode::RegistryFull => 507,
             ErrorCode::Overloaded => 429,
             ErrorCode::DeadlineExceeded => 504,
             ErrorCode::Cancelled => 499,
@@ -625,6 +631,8 @@ mod tests {
     fn error_codes_have_stable_statuses() {
         assert_eq!(ErrorCode::Overloaded.status(), 429);
         assert_eq!(ErrorCode::Oversized.status(), 413);
+        assert_eq!(ErrorCode::RegistryFull.status(), 507);
+        assert!(!ErrorCode::RegistryFull.retryable());
         assert!(ErrorCode::Overloaded.retryable());
         assert!(!ErrorCode::BadRequest.retryable());
     }

@@ -644,23 +644,16 @@ fn dispatch<W: Write>(
             conn.write_line(&ok_response(id, obj([("text", s(&text))])));
         }
         WireRequest::RegisterTech { base, overrides } => {
-            let tech = overrides.apply(base);
-            let fp = state.farm.register_technology(tech);
+            let registered = state.farm.register_technology(overrides.apply(base));
             state.registry.counter_add("ape.serve.register_tech", 1);
-            conn.write_line(&ok_response(
-                id,
-                obj([("technology", s(&proto::fingerprint_hex(fp)))]),
-            ));
+            answer_registration(state, conn, id, "technology", registered);
         }
         WireRequest::RegisterCalibration { table } => {
-            let fp = state.farm.register_calibration(table);
+            let registered = state.farm.register_calibration(table);
             state
                 .registry
                 .counter_add("ape.serve.register_calibration", 1);
-            conn.write_line(&ok_response(
-                id,
-                obj([("calibration", s(&proto::fingerprint_hex(fp)))]),
-            ));
+            answer_registration(state, conn, id, "calibration", registered);
         }
         WireRequest::Cancel { target } => {
             let entry = conn
@@ -814,6 +807,31 @@ fn submit_job<W: Write>(
     if tx.send((handle, pending)).is_err() {
         // Completion thread is gone (connection tearing down).
         conn.inflight.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Answers a registration with the fingerprint it stored under `field`,
+/// or with the typed error when the farm refused it.
+fn answer_registration<W: Write>(
+    state: &ServerState,
+    conn: &ConnShared<W>,
+    id: u64,
+    field: &'static str,
+    registered: Result<u64, FarmError>,
+) {
+    match registered {
+        Ok(fp) => conn.write_line(&ok_response(
+            id,
+            obj([(field, s(&proto::fingerprint_hex(fp)))]),
+        )),
+        Err(e) => {
+            state.stats.errors.fetch_add(1, Ordering::Relaxed);
+            let code = match e {
+                FarmError::RegistryFull => ErrorCode::RegistryFull,
+                _ => ErrorCode::Internal,
+            };
+            conn.write_line(&err_response(id, &WireError::new(code, e.to_string())));
+        }
     }
 }
 

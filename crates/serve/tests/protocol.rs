@@ -156,6 +156,34 @@ fn tenants_register_and_select() {
     server.stop();
 }
 
+/// A client can register at most `MAX_REGISTERED` (64) technologies: the
+/// 65th distinct card answers the typed `registry_full`, which no retry
+/// can fix, and the connection keeps answering.
+#[test]
+fn registration_flood_stops_at_the_cap() {
+    let server = start(ServerConfig::default());
+    let mut c = Client::connect(server.addr()).unwrap();
+    let register = |c: &mut Client, k: usize| {
+        c.call(
+            "register_tech",
+            obj([("base", s("1p2um")), ("vdd", n(3.0 + 0.01 * k as f64))]),
+        )
+        .unwrap()
+        .outcome
+    };
+    for k in 0..64 {
+        assert!(register(&mut c, k).is_ok(), "registration {k}");
+    }
+    let err = register(&mut c, 64).unwrap_err();
+    assert!(is_code(&err, ErrorCode::RegistryFull), "{err}");
+    assert_eq!(err.status, 507);
+    assert!(!err.retryable);
+    // Registering a card that is already present still answers.
+    assert!(register(&mut c, 0).is_ok());
+    assert!(c.ping().unwrap());
+    server.stop();
+}
+
 #[test]
 fn unknown_technology_is_typed() {
     let server = start(ServerConfig::default());

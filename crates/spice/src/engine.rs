@@ -11,7 +11,7 @@
 //! with zero heap allocation per iteration. The backend is picked once per
 //! analysis from [`Backend`](crate::sparse::Backend): dense for systems of
 //! up to [`DENSE_CUTOFF`](crate::sparse::DENSE_CUTOFF) unknowns, sparse
-//! (pattern-cached LU) above.
+//! (an LU whose pivot order is analysed once per analysis) above.
 
 use crate::linalg::Matrix;
 use crate::sparse::{Pattern, SparseFactor, SparseMatrix};

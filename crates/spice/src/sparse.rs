@@ -1,4 +1,4 @@
-//! Sparse LU solve path with pattern-cached symbolic analysis.
+//! Sparse LU solve path with a reusable symbolic analysis.
 //!
 //! An MNA matrix's sparsity pattern is fixed for a given circuit: every
 //! Newton iteration, gmin/source-stepping stage, frequency point and
@@ -14,16 +14,14 @@
 //! 3. Every later factorisation ([`SparseFactor::factor`]) replays the
 //!    elimination *numerically only* over the frozen pattern with a dense
 //!    scatter workspace — no pivot search, no structure discovery, no heap
-//!    allocation. A relative pivot check guards against the cached order
+//!    allocation. A relative pivot check guards against the held order
 //!    going stale; failure falls back to a fresh analysis.
 //!
-//! Symbolic objects are cached per thread, keyed by a pattern fingerprint,
-//! so repeated solves of the same topology — design-space sweeps, annealing
-//! audits, `ape-farm` batch jobs — skip the symbolic step entirely. The
-//! cache is resettable ([`reset_symbolic_cache`]) because a cached pivot
-//! order makes results depend (at rounding level) on which bias point
-//! built it; `ape-farm` runs every job against an empty cache
-//! ([`with_fresh_symbolic_cache`]).
+//! A [`Symbolic`] lives exactly as long as the analysis that owns its
+//! factor — one DC solve, transient or AC sweep — and nothing is kept
+//! across calls. A pivot order depends on the values it was chosen from,
+//! so this is what makes a solve's bits a function of its circuit alone,
+//! whatever the thread solved before.
 //!
 //! Steady-state operation (refactor + solve) performs **zero heap
 //! allocations**; every allocation inside this module bumps a global
@@ -32,8 +30,6 @@
 
 use crate::linalg::{pivot_tol, Matrix, Scalar};
 use crate::stamp::Stamp;
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -45,7 +41,7 @@ pub enum Backend {
     Auto,
     /// Always the dense LU (reference oracle; fastest for tiny systems).
     Dense,
-    /// Always the sparse pattern-cached LU.
+    /// Always the sparse LU over the circuit's fixed pattern.
     Sparse,
 }
 
@@ -158,26 +154,12 @@ impl PatternBuilder {
         } else {
             Vec::new()
         };
-        // FNV-1a fingerprint over the structure for the symbolic cache key.
-        let mut h = 0xcbf29ce484222325u64;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x100000001b3);
-        };
-        mix(n as u64);
-        for &s in &row_start {
-            mix(s as u64);
-        }
-        for &c in &cols {
-            mix(c as u64);
-        }
         note_alloc();
         Arc::new(Pattern {
             n,
             row_start,
             cols,
             idx_map,
-            key: h,
         })
     }
 }
@@ -202,7 +184,6 @@ pub struct Pattern {
     /// Row-major `(r, c) → storage index` map (`u32::MAX` = structurally
     /// absent); empty above [`IDX_MAP_CAP`].
     idx_map: Vec<u32>,
-    key: u64,
 }
 
 impl Pattern {
@@ -214,11 +195,6 @@ impl Pattern {
     /// Number of structural nonzeros.
     pub fn nnz(&self) -> usize {
         self.cols.len()
-    }
-
-    /// Structure fingerprint used as the symbolic-cache key.
-    pub fn key(&self) -> u64 {
-        self.key
     }
 
     /// Column indices of row `r`.
@@ -365,8 +341,9 @@ pub struct Symbolic {
     /// Absolute index of the diagonal entry of factor row `k`; entries
     /// before it are `L`, from it on are `U`.
     diag: Vec<u32>,
-    /// Pattern fingerprint this symbolic was built for.
-    key: u64,
+    /// The pattern this symbolic was built for; a factor replays it only
+    /// over matrices that share this very `Arc`.
+    pattern: Arc<Pattern>,
 }
 
 impl Symbolic {
@@ -513,92 +490,18 @@ fn analyze<T: Scalar>(a: &SparseMatrix<T>) -> Option<(Symbolic, Vec<T>)> {
             row_start,
             cols,
             diag,
-            key: pat.key,
+            pattern: Arc::clone(pat),
         },
         fvals,
     ))
 }
 
-// ---------------------------------------------------------------------------
-// Thread-local symbolic cache
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static SYM_CACHE: RefCell<HashMap<u64, Arc<Symbolic>>> = RefCell::new(HashMap::new());
-}
-
-const SYM_CACHE_CAP: usize = 64;
-
-static SYM_HITS: AtomicU64 = AtomicU64::new(0);
-static SYM_MISSES: AtomicU64 = AtomicU64::new(0);
-static SYM_REPIVOTS: AtomicU64 = AtomicU64::new(0);
-
-fn cache_lookup(key: u64) -> Option<Arc<Symbolic>> {
-    SYM_CACHE.with(|c| c.borrow().get(&key).cloned())
-}
-
-fn cache_insert(key: u64, sym: Arc<Symbolic>) {
-    SYM_CACHE.with(|c| {
-        let mut map = c.borrow_mut();
-        if map.len() >= SYM_CACHE_CAP {
-            map.clear();
-        }
-        map.insert(key, sym);
-    });
-}
-
-/// Drops this thread's cached symbolic factorizations.
+/// Does nothing: a [`Symbolic`] lives only as long as the DC solve,
+/// transient or AC sweep that built it, so there is nothing to reset.
 ///
-/// A cached pivot order is a function of the bias point that built it, so
-/// carrying it across independent jobs makes results depend (at rounding
-/// level) on job scheduling. Batch drivers that must not disturb the
-/// calling thread's cache use [`with_fresh_symbolic_cache`] instead.
-pub fn reset_symbolic_cache() {
-    SYM_CACHE.with(|c| c.borrow_mut().clear());
-}
-
-/// Runs `f` against an empty symbolic cache on this thread, then puts the
-/// thread's own cache back — also when `f` unwinds. Batch drivers
-/// (`ape-farm`) wrap each job in this, so a job's pivot orders are its own
-/// and whatever else runs on the thread keeps its warm cache.
-pub fn with_fresh_symbolic_cache<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(HashMap<u64, Arc<Symbolic>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let saved = std::mem::take(&mut self.0);
-            SYM_CACHE.with(|c| *c.borrow_mut() = saved);
-        }
-    }
-    let _restore = Restore(SYM_CACHE.with(|c| std::mem::take(&mut *c.borrow_mut())));
-    f()
-}
-
-/// Cumulative symbolic-cache statistics across all threads:
-/// `(hits, misses, repivots)`.
-pub fn symbolic_cache_stats() -> (u64, u64, u64) {
-    (
-        SYM_HITS.load(Ordering::Relaxed),
-        SYM_MISSES.load(Ordering::Relaxed),
-        SYM_REPIVOTS.load(Ordering::Relaxed),
-    )
-}
-
-/// Human-readable symbolic-cache report, in the same spirit as
-/// `ape_core::graph::graph_report()`.
-pub fn symbolic_cache_report() -> String {
-    let (hits, misses, repivots) = symbolic_cache_stats();
-    let total = hits + misses;
-    let rate = if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64 * 100.0
-    };
-    format!(
-        "solver symbolic cache: {hits} hits / {misses} misses ({rate:.1}% hit rate), \
-         {repivots} repivots, {} allocs",
-        alloc_events()
-    )
-}
+/// Kept only because the `apebench` harness still calls it between runs;
+/// the next change to that harness drops those calls and this function.
+pub fn reset_symbolic_cache() {}
 
 // ---------------------------------------------------------------------------
 // SparseFactor
@@ -606,10 +509,9 @@ pub fn symbolic_cache_report() -> String {
 
 /// A reusable sparse LU factorisation with preallocated workspaces.
 ///
-/// The first [`factor`](Self::factor) call performs (or fetches from the
-/// per-thread cache) the symbolic analysis; every later call on the same
-/// pattern is a numeric refactorisation with zero heap allocation. Solves
-/// are likewise allocation-free.
+/// The first [`factor`](Self::factor) call performs the symbolic analysis;
+/// every later call on the same pattern is a numeric refactorisation with
+/// zero heap allocation. Solves are likewise allocation-free.
 #[derive(Debug, Default)]
 pub struct SparseFactor<T> {
     sym: Option<Arc<Symbolic>>,
@@ -655,41 +557,24 @@ impl<T: Scalar> SparseFactor<T> {
         self.sym = Some(sym);
     }
 
-    /// Factorises `a`, reusing the cached symbolic analysis when possible.
+    /// Factorises `a`, reusing the held symbolic analysis when it was
+    /// built for `a`'s pattern.
     ///
     /// Returns `None` when the matrix is numerically singular.
     pub fn factor(&mut self, a: &SparseMatrix<T>) -> Option<()> {
-        let key = a.pattern().key();
         // Fast path: in-place numeric refactorisation over the held symbolic.
-        if self.sym.as_ref().is_some_and(|s| s.key == key) {
+        if self
+            .sym
+            .as_ref()
+            .is_some_and(|s| Arc::ptr_eq(&s.pattern, a.pattern()))
+        {
             if self.refactor(a).is_ok() {
                 return Some(());
             }
-            SYM_REPIVOTS.fetch_add(1, Ordering::Relaxed);
             ape_probe::counter("spice.factor.repivots", 1);
-            return self.analyze_into(a);
         }
-        // Thread-local cache: another factor already analysed this pattern.
-        if let Some(sym) = cache_lookup(key) {
-            SYM_HITS.fetch_add(1, Ordering::Relaxed);
-            ape_probe::counter("spice.solve.reuse_hits", 1);
-            self.adopt(sym);
-            if self.refactor(a).is_ok() {
-                return Some(());
-            }
-            SYM_REPIVOTS.fetch_add(1, Ordering::Relaxed);
-            ape_probe::counter("spice.factor.repivots", 1);
-            return self.analyze_into(a);
-        }
-        SYM_MISSES.fetch_add(1, Ordering::Relaxed);
-        self.analyze_into(a)
-    }
-
-    fn analyze_into(&mut self, a: &SparseMatrix<T>) -> Option<()> {
         let (sym, fvals) = analyze(a)?;
-        let sym = Arc::new(sym);
-        cache_insert(sym.key, Arc::clone(&sym));
-        self.adopt(Arc::clone(&sym));
+        self.adopt(Arc::new(sym));
         self.vals = fvals;
         Some(())
     }
@@ -977,66 +862,5 @@ mod tests {
         for (a, bb) in xd.iter().zip(&xs) {
             assert!((*a - *bb).norm() < 1e-9, "{a} vs {bb}");
         }
-    }
-
-    #[test]
-    fn symbolic_cache_hits_across_factors() {
-        reset_symbolic_cache();
-        let mut pb = PatternBuilder::new(16);
-        for r in 0..16 {
-            pb.add(r, r);
-            pb.add(r, (r + 1) % 16);
-            pb.add((r + 1) % 16, r);
-        }
-        let pattern = pb.build();
-        let mut m: SparseMatrix<f64> = SparseMatrix::new(Arc::clone(&pattern));
-        for r in 0..16 {
-            m.stamp(r, r, 4.0);
-            m.stamp(r, (r + 1) % 16, 1.0);
-            m.stamp((r + 1) % 16, r, 1.0);
-        }
-        let (h0, _, _) = symbolic_cache_stats();
-        let mut f1 = SparseFactor::new();
-        f1.factor(&m).unwrap();
-        let mut f2 = SparseFactor::new();
-        f2.factor(&m).unwrap();
-        let (h1, _, _) = symbolic_cache_stats();
-        assert!(h1 > h0, "second factor should hit the symbolic cache");
-    }
-
-    #[test]
-    fn fresh_symbolic_cache_is_empty_and_puts_the_thread_cache_back() {
-        let ring = |n: usize| {
-            let mut pb = PatternBuilder::new(n);
-            for r in 0..n {
-                pb.add(r, r);
-                pb.add(r, (r + 1) % n);
-                pb.add((r + 1) % n, r);
-            }
-            let mut m: SparseMatrix<f64> = SparseMatrix::new(pb.build());
-            for r in 0..n {
-                m.stamp(r, r, 4.0);
-                m.stamp(r, (r + 1) % n, 1.0);
-                m.stamp((r + 1) % n, r, 1.0);
-            }
-            m
-        };
-        let keys = || {
-            let mut k: Vec<u64> = SYM_CACHE.with(|c| c.borrow().keys().copied().collect());
-            k.sort_unstable();
-            k
-        };
-        reset_symbolic_cache();
-        SparseFactor::new().factor(&ring(12)).unwrap();
-        let outside = keys();
-        assert_eq!(outside.len(), 1);
-        let inside = with_fresh_symbolic_cache(|| {
-            assert!(keys().is_empty(), "the job starts with an empty cache");
-            SparseFactor::new().factor(&ring(13)).unwrap();
-            keys()
-        });
-        assert_eq!(inside.len(), 1);
-        assert_ne!(inside, outside);
-        assert_eq!(keys(), outside, "the thread's own cache is put back");
     }
 }

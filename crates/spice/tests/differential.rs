@@ -1,8 +1,8 @@
 // Test/harness code: panicking on bad results is the assertion mechanism.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-//! Differential tests: the sparse pattern-cached solve path against the
-//! dense reference oracle, on raw linear systems and on full analyses of
-//! representative circuits. Agreement gates at 1e-9 relative.
+//! Differential tests: the sparse solve path against the dense reference
+//! oracle, on raw linear systems and on full analyses of representative
+//! circuits. Agreement gates at 1e-9 relative.
 
 use ape_netlist::{Circuit, MosGeometry, MosPolarity, NodeId, SourceWaveform, Technology};
 use ape_spice::linalg::Matrix;

@@ -147,3 +147,73 @@ fn seeded_table4_runs_meet_every_feasible_spec_within_30_evals() {
         }
     }
 }
+
+/// A SPICE solve keeps nothing between calls, so a synthesis run's bits are
+/// a function of its inputs alone, whatever its thread ran before. Through
+/// the table bins' own code (`ape_bench::rows`), at 60 evaluations: for
+/// every ordered pair (i, j) of seeded oa3–oa6 and of blind oa7–oa8, spec j
+/// run right after spec i on one new thread must equal, bit for bit, spec j
+/// run alone on a fresh thread. Compared through `{:?}`, which round-trips
+/// every `f64`: the best point, its cost, the evaluations spent and the
+/// full audit.
+#[test]
+fn synthesis_bits_do_not_depend_on_what_the_thread_ran_before() {
+    use ape_bench::rows::{blind_synthesis, seeded_synthesis};
+    use ape_bench::specs::OpAmpTask;
+    use ape_repro::oblx::SynthesisOutcome;
+    const EVALS: usize = 60;
+
+    fn bits(out: &SynthesisOutcome) -> String {
+        format!(
+            "best {:?} cost {:?} evals {} audit {:?}",
+            out.best, out.cost, out.evals, out.audit
+        )
+    }
+    fn seeded(task: &OpAmpTask) -> String {
+        let tech = Technology::default_1p2um();
+        let amp = OpAmp::design(&tech, task.topology, task.spec).expect("APE sizes every spec");
+        bits(&seeded_synthesis(&tech, task, &amp, EVALS).expect("spec is well-formed"))
+    }
+    fn blind(task: &OpAmpTask) -> String {
+        let tech = Technology::default_1p2um();
+        bits(&blind_synthesis(&tech, task, EVALS).expect("spec is well-formed"))
+    }
+    fn on_new_thread(f: impl FnOnce() -> String + Send) -> String {
+        std::thread::scope(|s| s.spawn(f).join().expect("run does not panic"))
+    }
+
+    let table1 = ape_bench::specs::table1_opamps();
+    let pick = |names: &[&str]| -> Vec<OpAmpTask> {
+        table1
+            .iter()
+            .filter(|t| names.contains(&t.name))
+            .copied()
+            .collect()
+    };
+    let mut differs = Vec::new();
+    for (mode, run, tasks) in [
+        (
+            "seeded",
+            seeded as fn(&_) -> _,
+            pick(&["oa3", "oa4", "oa5", "oa6"]),
+        ),
+        ("blind", blind, pick(&["oa7", "oa8"])),
+    ] {
+        let alone: Vec<String> = tasks.iter().map(|t| on_new_thread(|| run(t))).collect();
+        for before in &tasks {
+            for (task, alone) in tasks.iter().zip(&alone) {
+                if task.name == before.name {
+                    continue;
+                }
+                let after = on_new_thread(|| {
+                    run(before);
+                    run(task)
+                });
+                if &after != alone {
+                    differs.push(format!("{mode} {} after {}", task.name, before.name));
+                }
+            }
+        }
+    }
+    assert!(differs.is_empty(), "history-dependent runs: {differs:?}");
+}
