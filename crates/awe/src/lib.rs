@@ -92,8 +92,21 @@ pub fn awe_transfer_auto(
     q_max: usize,
 ) -> Result<ReducedModel, AweError> {
     let m = transfer_moments(sys, output, 2 * q_max.max(1))?;
+    pade_reduce_auto(&m, q_max)
+}
+
+/// The order fallback of [`awe_transfer_auto`] on moments already in hand:
+/// tries `q_max` (at least 1, at most `m.len() / 2`), then one order less,
+/// down to 1, returning the first stable model. Lets a caller that needs
+/// the moments anyway (m₀ is the DC gain) compute them once.
+///
+/// # Errors
+///
+/// The last order's [`AweError`] when even `q = 1` fails, or
+/// [`AweError::InvalidOrder`] when `m` holds fewer than two moments.
+pub fn pade_reduce_auto(m: &[f64], q_max: usize) -> Result<ReducedModel, AweError> {
     let mut last_err = None;
-    for q in (1..=q_max.max(1)).rev() {
+    for q in (1..=q_max.max(1).min(m.len() / 2)).rev() {
         match pade_reduce(&m[..2 * q], q) {
             Ok(model) if model.is_stable() => return Ok(model),
             Ok(_) => last_err = Some(AweError::UnstableModel { order: q }),

@@ -8,19 +8,29 @@ use ape_spice::LinearizedSystem;
 /// Computes the first `count` moment *vectors* of `(G + sC)·x = b`:
 /// `x(s) = Σ xₖ sᵏ` with `G·x₀ = b` and `G·xₖ = −C·xₖ₋₁`.
 ///
+/// `G` is factored once and every moment is a back-substitution through
+/// the same factors; each moment has the bits a separate
+/// [`Matrix::solve`] would give it.
+///
 /// # Errors
 ///
-/// [`AweError::SingularSystem`] when `G` cannot be factorised.
+/// [`AweError::SingularSystem`] when `G` cannot be factorised or a moment
+/// comes out non-finite.
 pub fn moments(
     g: &Matrix<f64>,
     c: &Matrix<f64>,
     b: &[f64],
     count: usize,
 ) -> Result<Vec<Vec<f64>>, AweError> {
+    if count == 0 {
+        return Ok(Vec::new());
+    }
+    let lu = g.lu().ok_or(AweError::SingularSystem)?;
     let mut out = Vec::with_capacity(count);
     let mut rhs = b.to_vec();
     for _ in 0..count {
-        let x = g.solve(&rhs).ok_or(AweError::SingularSystem)?;
+        let mut x = rhs;
+        lu.solve_in_place(&mut x).ok_or(AweError::SingularSystem)?;
         rhs = c.mul_vec(&x).iter().map(|v| -v).collect();
         out.push(x);
     }

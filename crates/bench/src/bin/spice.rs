@@ -7,7 +7,9 @@
 //! counters, latency quantiles).
 //!
 //! Run with `cargo run --release -p ape-bench --bin spice`; pass `--smoke`
-//! for the fast CI variant (fewer samples and frequency points).
+//! for the fast CI variant (one sample per row, fewer frequency points).
+//! The full run samples every row for at least [`MIN_ROW_SECS`], so two
+//! builds compared row by row differ by more than run-to-run noise.
 
 use ape_bench::report::{latency_section, nums, write_bench};
 use ape_bench::{fmt_val, render_table};
@@ -61,21 +63,40 @@ struct Latencies {
     tran_sparse: ape_probe::Histogram,
 }
 
+/// Least wall time the full run spends sampling one row, seconds. Five
+/// samples of a microsecond-scale analysis leave a row's median to a few
+/// scheduler hiccups; a few hundred milliseconds of samples make two
+/// builds comparable row by row.
+const MIN_ROW_SECS: f64 = 0.2;
+
+/// How long [`time_it`] samples one row: at least `samples` calls, and
+/// until the row has run for `min_secs`.
+#[derive(Debug, Clone, Copy)]
+struct Sampling {
+    samples: u32,
+    min_secs: f64,
+}
+
 /// Median-of-samples wall time per call, seconds. Every sample also lands
 /// in `hist` (when given) so quantiles survive the median reduction.
-fn time_it<R>(samples: u32, hist: Option<&ape_probe::Histogram>, mut f: impl FnMut() -> R) -> f64 {
+fn time_it<R>(
+    sampling: Sampling,
+    hist: Option<&ape_probe::Histogram>,
+    mut f: impl FnMut() -> R,
+) -> f64 {
     std::hint::black_box(f()); // warm-up
-    let mut times: Vec<f64> = (0..samples.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            let secs = t0.elapsed().as_secs_f64();
-            if let Some(h) = hist {
-                h.record(secs * 1e9);
-            }
-            secs
-        })
-        .collect();
+    let mut times = Vec::new();
+    let mut total = 0.0;
+    while times.len() < sampling.samples.max(1) as usize || total < sampling.min_secs {
+        let t0 = Instant::now();
+        std::hint::black_box(f());
+        let secs = t0.elapsed().as_secs_f64();
+        if let Some(h) = hist {
+            h.record(secs * 1e9);
+        }
+        total += secs;
+        times.push(secs);
+    }
     times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     times[times.len() / 2]
 }
@@ -109,7 +130,7 @@ struct CaseResult {
 fn run_case(
     tech: &Technology,
     case: &Case,
-    samples: u32,
+    samples: Sampling,
     freq_ppd: usize,
     lat: &Latencies,
 ) -> CaseResult {
@@ -184,7 +205,7 @@ fn per_s(secs: &[f64]) -> Value {
     nums(&secs.iter().map(|t| 1.0 / t).collect::<Vec<_>>())
 }
 
-fn write_json(results: &[CaseResult], samples: u32, lat: &Latencies) {
+fn write_json(results: &[CaseResult], sampling: Sampling, lat: &Latencies) {
     let circuits = results
         .iter()
         .map(|r| {
@@ -229,7 +250,8 @@ fn write_json(results: &[CaseResult], samples: u32, lat: &Latencies) {
     write_bench(
         "spice",
         obj([
-            ("samples", n(f64::from(samples))),
+            ("samples", n(f64::from(sampling.samples))),
+            ("min_row_s", n(sampling.min_secs)),
             ("threads", threads.clone()),
             ("circuits", Value::Arr(circuits)),
             (
@@ -255,7 +277,19 @@ fn write_json(results: &[CaseResult], samples: u32, lat: &Latencies) {
 fn main() {
     let _trace = ape_probe::install_from_env();
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (samples, freq_ppd) = if smoke { (1, 4) } else { (5, 20) };
+    let (samples, freq_ppd) = if smoke {
+        let one = Sampling {
+            samples: 1,
+            min_secs: 0.0,
+        };
+        (one, 4)
+    } else {
+        let timed = Sampling {
+            samples: 5,
+            min_secs: MIN_ROW_SECS,
+        };
+        (timed, 20)
+    };
     let tech = Technology::default_1p2um();
 
     let lat = Latencies::default();

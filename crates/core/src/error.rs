@@ -43,6 +43,16 @@ pub enum ApeError {
         /// Which figure went non-finite.
         what: &'static str,
     },
+    /// A netlist's linearised system would exceed
+    /// [`MAX_NETLIST_UNKNOWNS`](crate::netest::MAX_NETLIST_UNKNOWNS):
+    /// rejected before any work, since the dense small-signal matrices grow
+    /// with its square.
+    Oversized {
+        /// Unknowns (node voltages plus branch currents) the netlist needs.
+        unknowns: usize,
+        /// The cap it exceeds.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for ApeError {
@@ -59,6 +69,10 @@ impl fmt::Display for ApeError {
             ApeError::NonFinite { stage, what } => {
                 write!(f, "{stage} produced a non-finite {what}")
             }
+            ApeError::Oversized { unknowns, limit } => write!(
+                f,
+                "netlist needs {unknowns} unknowns, over the estimator's limit of {limit}"
+            ),
         }
     }
 }

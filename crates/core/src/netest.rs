@@ -23,6 +23,38 @@ use ape_mos::fingerprint::Fingerprint;
 use ape_netlist::{Circuit, NodeId, Technology};
 use ape_spice::{dc_operating_point, linearize, Complex};
 
+/// Most unknowns (node voltages plus branch currents) a netlist estimate
+/// linearises. The small-signal `G` and `C` are dense `n × n`, so memory
+/// and time grow with the square of the deck: RC ladders near this size
+/// take ~1.5 MB of extra peak memory and ~8 ms, where the 1 MiB request
+/// line of `ape-serve` would otherwise admit a ~20 000-node deck needing
+/// several GB. The largest circuit any table, example, test or benchmark
+/// estimates has 20 unknowns (a folded-cascode testbench).
+pub const MAX_NETLIST_UNKNOWNS: usize = 256;
+
+/// Checks that `circuit` fits [`MAX_NETLIST_UNKNOWNS`], counting its
+/// unknowns from the netlist alone (nothing is rendered or solved), so a
+/// caller can refuse a deck as soon as it is parsed.
+///
+/// # Errors
+///
+/// [`ApeError::Oversized`] above the cap.
+pub fn check_netlist_size(circuit: &Circuit) -> Result<(), ApeError> {
+    let branches = circuit
+        .elements()
+        .iter()
+        .filter(|e| e.needs_branch_current())
+        .count();
+    let unknowns = circuit.num_nodes().saturating_sub(1) + branches;
+    if unknowns > MAX_NETLIST_UNKNOWNS {
+        return Err(ApeError::Oversized {
+            unknowns,
+            limit: MAX_NETLIST_UNKNOWNS,
+        });
+    }
+    Ok(())
+}
+
 /// Result of a netlist-level estimation.
 #[derive(Debug, Clone)]
 pub struct NetlistEstimate {
@@ -86,6 +118,8 @@ impl NetlistEstimate {
 ///
 /// * [`ApeError::Infeasible`] when the DC operating point cannot be solved
 ///   or the circuit has no observable response at `output`.
+/// * [`ApeError::Oversized`] when the circuit exceeds
+///   [`MAX_NETLIST_UNKNOWNS`]; checked before any work.
 ///
 /// # Example
 ///
@@ -128,6 +162,7 @@ pub fn estimate_netlist(
             ),
         });
     }
+    check_netlist_size(circuit)?;
     let fp = netest_fingerprint(circuit, tech, output);
     with_thread_graph(tech, |g| {
         g.evaluate(&NetestNode {
@@ -153,6 +188,7 @@ pub fn estimate_netlist_incremental(
     output: NodeId,
     previous: &NetlistEstimate,
 ) -> Result<NetlistEstimate, ApeError> {
+    check_netlist_size(circuit)?;
     if usize::from(output) < circuit.num_nodes()
         && netest_fingerprint(circuit, tech, output) == previous.input_fingerprint
     {
@@ -342,6 +378,46 @@ C1 out 0 5p
             "net {g_net} vs hier {g_hier}"
         );
         assert!(est.is_stable());
+    }
+
+    /// An RC ladder driven at `in` with `unknowns` unknowns: the source's
+    /// branch current plus `unknowns - 1` node voltages. Returns the far
+    /// end as the output.
+    fn rc_ladder(unknowns: usize) -> (Circuit, NodeId) {
+        let mut c = Circuit::new("ladder");
+        let mut prev = c.node("in");
+        c.add_vsource("V1", prev, Circuit::GROUND, 0.0, 1.0, SourceWaveform::Dc)
+            .unwrap();
+        for k in 1..unknowns - 1 {
+            let n = c.node(&format!("n{k}"));
+            c.add_resistor(&format!("R{k}"), prev, n, 1e3).unwrap();
+            c.add_capacitor(&format!("C{k}"), n, Circuit::GROUND, 1e-12)
+                .unwrap();
+            prev = n;
+        }
+        (c, prev)
+    }
+
+    #[test]
+    fn decks_estimate_up_to_the_unknowns_cap_and_not_past_it() {
+        let tech = Technology::default_1p2um();
+        let (at_cap, out) = rc_ladder(MAX_NETLIST_UNKNOWNS);
+        assert_eq!(check_netlist_size(&at_cap), Ok(()));
+        let est = estimate_netlist(&at_cap, &tech, out).unwrap();
+        assert!((est.perf.dc_gain.unwrap() - 1.0).abs() < 1e-3);
+        let (over, out) = rc_ladder(MAX_NETLIST_UNKNOWNS + 1);
+        let oversized = ApeError::Oversized {
+            unknowns: MAX_NETLIST_UNKNOWNS + 1,
+            limit: MAX_NETLIST_UNKNOWNS,
+        };
+        assert_eq!(
+            estimate_netlist(&over, &tech, out).unwrap_err(),
+            oversized.clone()
+        );
+        assert_eq!(
+            estimate_netlist_incremental(&over, &tech, out, &est).unwrap_err(),
+            oversized
+        );
     }
 
     #[test]

@@ -7,14 +7,17 @@
 
 use crate::template::{build_candidate, candidate_area};
 use crate::vars::DesignPoint;
-use ape_awe::{awe_transfer_auto, transfer_moments};
+use ape_awe::{pade_reduce_auto, transfer_moments};
 use ape_core::graph::{with_thread_graph, Component, EstimationGraph};
 use ape_core::opamp::{OpAmpSpec, OpAmpTopology};
 use ape_core::ApeError;
 use ape_mos::fingerprint::Fingerprint;
-use ape_netlist::Technology;
+use ape_netlist::{NodeId, Technology};
 use ape_spice::linalg::Matrix;
-use ape_spice::{dc_operating_point_with, linearize, Complex, DcOptions, LinearizedSystem};
+use ape_spice::{
+    dc_operating_point_from, dc_operating_point_with, linearize, Complex, DcOptions,
+    LinearizedSystem,
+};
 
 /// How the annealing loop evaluates a candidate's frequency response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,62 +68,168 @@ pub fn evaluate_candidate(
     evaluate_candidate_with(tech, topology, spec, point, EvalFidelity::Exact)
 }
 
-/// Graph node memoizing [`evaluate_candidate_with`].
+/// The DC options of every candidate solve, the start point's included.
+///
+/// A tighter iteration budget than the default keeps the annealing loop
+/// fast; marginal operating points count as failures, which is what a
+/// cost function wants anyway.
+pub fn candidate_dc_options() -> DcOptions {
+    DcOptions {
+        max_iter: 80,
+        ..DcOptions::default()
+    }
+}
+
+/// The node voltages of the candidate at `start`, solved as every
+/// candidate is: the nodeset a synthesis run that starts at `start` hands
+/// each candidate's DC solve. `None` when the template rejects the point
+/// or its DC solve fails.
+pub fn start_nodeset(
+    tech: &Technology,
+    topology: OpAmpTopology,
+    spec: &OpAmpSpec,
+    start: &DesignPoint,
+) -> Option<Vec<(NodeId, f64)>> {
+    let (ckt, _) = build_candidate(tech, topology, spec, start).ok()?;
+    let op = dc_operating_point_with(&ckt, tech, candidate_dc_options()).ok()?;
+    let nodes = (1..ckt.num_nodes()).map(|i| NodeId::new(i as u32));
+    Some(nodes.map(|n| (n, op.voltage(n))).collect())
+}
+
+/// Graph node memoizing [`start_nodeset`], keyed by
+/// `(topology, spec, start)`. A failing start memoizes its `None` like any
+/// output, so it costs one solve per key, not one per candidate.
+#[derive(Debug, Clone, Copy)]
+struct StartOpNode<'a> {
+    topology: OpAmpTopology,
+    spec: &'a OpAmpSpec,
+    start: &'a DesignPoint,
+}
+
+impl Component for StartOpNode<'_> {
+    type Output = Option<Vec<(NodeId, f64)>>;
+
+    fn kind(&self) -> &'static str {
+        "oblx.start_op"
+    }
+
+    fn fingerprint(&self) -> u64 {
+        let fp = self
+            .spec
+            .fold_fingerprint(self.topology.fold_fingerprint(Fingerprint::new()));
+        fold_point(fp, self.start).finish()
+    }
+
+    fn compute(&self, graph: &EstimationGraph) -> Result<Self::Output, ApeError> {
+        Ok(start_nodeset(
+            graph.technology(),
+            self.topology,
+            self.spec,
+            self.start,
+        ))
+    }
+}
+
+fn fold_point(fp: Fingerprint, point: &DesignPoint) -> Fingerprint {
+    let fp = fp.u64(point.values.len() as u64);
+    point.values.iter().fold(fp, |fp, v| fp.f64(*v))
+}
+
+/// Graph node memoizing one candidate evaluation.
 ///
 /// The annealing loop re-visits design points — a rejected move returns to
 /// the previous point, and sweep neighbours share a candidate with their
 /// origin — and [`CandidateEval`] is a pure function of
-/// `(topology, spec, point, fidelity)`, so the shared estimation graph can
-/// answer repeats without re-running the DC + AWE pipeline.
-#[derive(Debug, Clone)]
-struct CandidateNode {
+/// `(topology, spec, point, fidelity, start)`, so the shared estimation
+/// graph can answer repeats without re-running the DC + AWE pipeline.
+/// `start` is the synthesis run's start point, whose operating point (an
+/// `oblx.start_op` child) seeds the candidate's DC solve; `None` solves
+/// from the default guess.
+#[derive(Debug, Clone, Copy)]
+struct CandidateNode<'a> {
     topology: OpAmpTopology,
-    spec: OpAmpSpec,
-    values: Vec<f64>,
+    spec: &'a OpAmpSpec,
+    point: &'a DesignPoint,
     fidelity: EvalFidelity,
+    start: Option<&'a DesignPoint>,
 }
 
-impl Component for CandidateNode {
+impl CandidateNode<'_> {
+    /// Evaluates through the thread's estimation graph.
+    fn evaluate(&self, tech: &Technology) -> CandidateEval {
+        match self.fidelity {
+            EvalFidelity::AweOnly => ape_probe::counter("oblx.cost_evals.awe", 1),
+            EvalFidelity::Exact => ape_probe::counter("oblx.cost_evals.exact", 1),
+        }
+        with_thread_graph(tech, |g| g.evaluate(self)).unwrap_or_else(|_| {
+            let nodeset = self
+                .start
+                .and_then(|start| start_nodeset(tech, self.topology, self.spec, start));
+            self.run(tech, nodeset.as_deref().unwrap_or_default())
+        })
+    }
+
+    fn run(&self, tech: &Technology, nodeset: &[(NodeId, f64)]) -> CandidateEval {
+        evaluate_candidate_uncached(
+            tech,
+            self.topology,
+            self.spec,
+            self.point,
+            self.fidelity,
+            nodeset,
+        )
+    }
+}
+
+impl Component for CandidateNode<'_> {
     type Output = CandidateEval;
 
     fn kind(&self) -> &'static str {
         "oblx.candidate"
     }
 
+    fn children(&self) -> &'static [&'static str] {
+        &["oblx.start_op"]
+    }
+
     fn fingerprint(&self) -> u64 {
-        let mut fp = self
+        let fp = self
             .spec
             .fold_fingerprint(self.topology.fold_fingerprint(Fingerprint::new()))
             .u8(match self.fidelity {
                 EvalFidelity::AweOnly => 0,
                 EvalFidelity::Exact => 1,
-            })
-            .u64(self.values.len() as u64);
-        for v in &self.values {
-            fp = fp.f64(*v);
+            });
+        let fp = fold_point(fp, self.point);
+        match self.start {
+            None => fp.u8(0),
+            Some(start) => fold_point(fp.u8(1), start),
         }
-        fp.finish()
+        .finish()
     }
 
     fn compute(&self, graph: &EstimationGraph) -> Result<CandidateEval, ApeError> {
-        let point = DesignPoint {
-            values: self.values.clone(),
+        let nodeset = match self.start {
+            Some(start) => graph.evaluate(&StartOpNode {
+                topology: self.topology,
+                spec: self.spec,
+                start,
+            })?,
+            None => None,
         };
-        Ok(evaluate_candidate_uncached(
-            graph.technology(),
-            self.topology,
-            &self.spec,
-            &point,
-            self.fidelity,
-        ))
+        Ok(self.run(graph.technology(), nodeset.as_deref().unwrap_or_default()))
     }
 }
 
 /// [`evaluate_candidate`] with an explicit evaluation fidelity.
 ///
-/// Memoized on the thread's estimation graph under the `oblx.candidate`
-/// kind; the cost-eval counters count *requests*, while memo effectiveness
-/// shows up in the `ape.graph.oblx.candidate.*` counters.
+/// The DC solve starts from the default guess (node voltages pinned by
+/// sources, every other node at 0 V). Memoized on the thread's estimation
+/// graph under the `oblx.candidate` kind; the memo key covers every input
+/// of the answer: topology, spec, point and fidelity (and the technology
+/// and calibration the graph folds into every key). The cost-eval counters
+/// count *requests*, while memo effectiveness shows up in the
+/// `ape.graph.oblx.candidate.*` counters.
 pub fn evaluate_candidate_with(
     tech: &Technology,
     topology: OpAmpTopology,
@@ -128,29 +237,49 @@ pub fn evaluate_candidate_with(
     point: &DesignPoint,
     fidelity: EvalFidelity,
 ) -> CandidateEval {
-    match fidelity {
-        EvalFidelity::AweOnly => ape_probe::counter("oblx.cost_evals.awe", 1),
-        EvalFidelity::Exact => ape_probe::counter("oblx.cost_evals.exact", 1),
+    CandidateNode {
+        topology,
+        spec,
+        point,
+        fidelity,
+        start: None,
     }
-    with_thread_graph(tech, |g| {
-        g.evaluate(&CandidateNode {
-            topology,
-            spec: *spec,
-            values: point.values.clone(),
-            fidelity,
-        })
-    })
-    .unwrap_or_else(|_| evaluate_candidate_uncached(tech, topology, spec, point, fidelity))
+    .evaluate(tech)
 }
 
-/// The `oblx.candidate` node's compute body behind
-/// [`evaluate_candidate_with`]: runs on a memo miss.
+/// [`evaluate_candidate_with`] for a synthesis run that starts at `start`:
+/// the DC solve's direct Newton stage starts from the start point's
+/// operating point ([`start_nodeset`], memoized as an `oblx.start_op`
+/// node), and the memo key adds `start` to the inputs. The answer is a
+/// pure function of those inputs, never of the previous candidate.
+pub(crate) fn evaluate_candidate_from(
+    tech: &Technology,
+    topology: OpAmpTopology,
+    spec: &OpAmpSpec,
+    point: &DesignPoint,
+    fidelity: EvalFidelity,
+    start: &DesignPoint,
+) -> CandidateEval {
+    CandidateNode {
+        topology,
+        spec,
+        point,
+        fidelity,
+        start: Some(start),
+    }
+    .evaluate(tech)
+}
+
+/// The `oblx.candidate` node's compute body: runs on a memo miss, with the
+/// DC solve's direct stage started from `nodeset` (empty for the default
+/// guess).
 fn evaluate_candidate_uncached(
     tech: &Technology,
     topology: OpAmpTopology,
     spec: &OpAmpSpec,
     point: &DesignPoint,
     fidelity: EvalFidelity,
+    nodeset: &[(NodeId, f64)],
 ) -> CandidateEval {
     let area = candidate_area(tech, topology, spec, point);
     let mut eval = CandidateEval {
@@ -164,14 +293,7 @@ fn evaluate_candidate_uncached(
     let Ok((ckt, out)) = build_candidate(tech, topology, spec, point) else {
         return eval;
     };
-    // A tighter iteration budget than the default keeps the annealing loop
-    // fast; marginal operating points count as failures, which is what a
-    // cost function wants anyway.
-    let opts = DcOptions {
-        max_iter: 80,
-        ..DcOptions::default()
-    };
-    let Ok(op) = dc_operating_point_with(&ckt, tech, opts) else {
+    let Ok(op) = dc_operating_point_from(&ckt, tech, candidate_dc_options(), nodeset) else {
         return eval;
     };
     eval.dc_ok = true;
@@ -179,8 +301,17 @@ fn evaluate_candidate_uncached(
     let Ok(sys) = linearize(&ckt, tech, &op) else {
         return eval;
     };
-    // DC gain from the zeroth AWE moment (one real back-substitution).
-    let Ok(m) = transfer_moments(&sys, out, 1) else {
+    // The DC gain is the zeroth moment (exact at DC); the order-3 AWE model
+    // needs six, and one factorisation of G serves both. Should a later
+    // moment go non-finite, m₀ alone still gives the gain and only the
+    // model is lost.
+    let moments = match fidelity {
+        EvalFidelity::AweOnly => {
+            transfer_moments(&sys, out, 6).or_else(|_| transfer_moments(&sys, out, 1))
+        }
+        EvalFidelity::Exact => transfer_moments(&sys, out, 1),
+    };
+    let Ok(m) = moments else {
         return eval;
     };
     eval.gain = m[0].abs();
@@ -191,7 +322,7 @@ fn evaluate_candidate_uncached(
         EvalFidelity::AweOnly => {
             // Order-3 Padé model, as ASTRX/OBLX evaluated candidates; the
             // model's own phase is unwrapped analytically along a grid.
-            if let Ok(model) = awe_transfer_auto(&sys, out, 3) {
+            if let Ok(model) = pade_reduce_auto(&m, 3) {
                 eval.ugf_hz = model.unity_gain_hz();
                 if let Some(fu) = eval.ugf_hz {
                     eval.pm_deg = Some(model_phase_margin(&model, fu));

@@ -66,7 +66,10 @@ pub use audit::{audit_candidate, AuditFailure, AuditReport};
 pub use calibrate::{fit_opamp_calibration, seed_interval_frac};
 pub use cost::{satisfies, CostWeights};
 pub use error::OblxError;
-pub use eval::{evaluate_candidate, evaluate_candidate_with, CandidateEval, EvalFidelity};
+pub use eval::{
+    candidate_dc_options, evaluate_candidate, evaluate_candidate_with, start_nodeset,
+    CandidateEval, EvalFidelity,
+};
 pub use synth::{
     synthesize, synthesize_portfolio, InitialPoint, MemberSummary, PortfolioOutcome, SolverChoice,
     SynthesisOptions, SynthesisOutcome,

@@ -4,7 +4,7 @@
 use crate::audit::{audit_candidate, AuditFailure, AuditReport};
 use crate::cost::{cost, CostWeights, TARGET_COST};
 use crate::error::OblxError;
-use crate::eval::{evaluate_candidate_with, EvalFidelity};
+use crate::eval::{evaluate_candidate_from, EvalFidelity};
 use crate::vars::{blind_center, blind_ranges, seeded_ranges, DesignPoint};
 use ape_core::graph::{set_thread_shared_memo, thread_shared_memo, SharedMemo};
 use ape_core::opamp::{OpAmpSpec, OpAmpTopology};
@@ -182,15 +182,18 @@ fn prepare(
 
 /// The annealing cost of a log-space candidate: a DC solve plus AWE at
 /// `opts.fidelity`, graded against `spec`. Every engine minimises this.
+/// Each DC solve starts from the operating point of the run's `start`,
+/// so the cost is a pure function of the run's inputs and the candidate.
 fn candidate_cost<'a>(
     tech: &'a Technology,
     topology: OpAmpTopology,
     spec: &'a OpAmpSpec,
     opts: &'a SynthesisOptions,
+    start: &'a DesignPoint,
 ) -> impl Fn(&[f64]) -> f64 + Sync + 'a {
     move |s: &[f64]| {
         let p = DesignPoint::from_log(s);
-        let e = evaluate_candidate_with(tech, topology, spec, &p, opts.fidelity);
+        let e = evaluate_candidate_from(tech, topology, spec, &p, opts.fidelity, start);
         cost(&e, spec, tech.vdd, &opts.weights)
     }
 }
@@ -255,9 +258,10 @@ pub fn synthesize(
     };
     let t0 = Instant::now();
     let (ranges, start) = prepare(topology, spec, init)?;
+    let start_point = DesignPoint::from_log(&start);
     // The single engines evaluate sequentially on this thread, so the cost
     // runs against the caller's own graph and memo attachment.
-    let cost_fn = candidate_cost(tech, topology, spec, opts);
+    let cost_fn = candidate_cost(tech, topology, spec, opts, &start_point);
     let problem = Problem::new(&ranges, &cost_fn)
         .with_target(TARGET_COST)
         .with_start(start);
@@ -300,6 +304,7 @@ pub fn synthesize_portfolio(
     let _span = ape_probe::span("oblx.synthesize_portfolio");
     let t0 = Instant::now();
     let (ranges, start) = prepare(topology, spec, init)?;
+    let start_point = DesignPoint::from_log(&start);
     // Members run on executor workers and inline on this thread; each cost
     // call attaches the run's store so they share one memo. Share the
     // caller's store if one is attached (a farm worker's cross-job cache),
@@ -308,7 +313,7 @@ pub fn synthesize_portfolio(
     let memo = caller_memo
         .clone()
         .unwrap_or_else(|| Arc::new(SharedMemo::new()));
-    let eval = candidate_cost(tech, topology, spec, opts);
+    let eval = candidate_cost(tech, topology, spec, opts, &start_point);
     let cost_fn = move |s: &[f64]| {
         set_thread_shared_memo(Some(memo.clone()));
         eval(s)
@@ -541,18 +546,14 @@ mod tests {
         };
         let out = synthesize(&tech, topo(), &spec(), &InitialPoint::Blind, &opts).unwrap();
 
-        // Hand-rolled copy of the original synthesize() search body.
+        // Hand-rolled copy of the original synthesize() search body. It
+        // prices candidates through the run's own seeded cost: the test
+        // pins the schedule, RNG stream and accounting, not the evaluator.
         let (ranges, start) = prepare(topo(), &spec(), &InitialPoint::Blind).unwrap();
-        let weights = opts.weights;
         let spec_c = spec();
-        let initial_eval = evaluate_candidate_with(
-            &tech,
-            topo(),
-            &spec_c,
-            &DesignPoint::from_log(&start),
-            opts.fidelity,
-        );
-        let initial_cost = cost(&initial_eval, &spec_c, tech.vdd, &weights);
+        let start_point = DesignPoint::from_log(&start);
+        let seeded_cost = candidate_cost(&tech, topo(), &spec_c, &opts, &start_point);
+        let initial_cost = seeded_cost(&start);
         let anneal_opts = AnnealOptions {
             schedule: Schedule::Geometric {
                 t0: (initial_cost / 3.0).clamp(0.5, 1e3),
@@ -566,11 +567,7 @@ mod tests {
         };
         let reference = anneal_with_observer(
             start,
-            |s| {
-                let p = DesignPoint::from_log(s);
-                let e = evaluate_candidate_with(&tech, topo(), &spec_c, &p, opts.fidelity);
-                cost(&e, &spec_c, tech.vdd, &weights)
-            },
+            |s: &Vec<f64>| seeded_cost(s),
             |s, t, rng| ranges.neighbor(s, t, rng),
             &anneal_opts,
             &mut (),

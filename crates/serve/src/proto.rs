@@ -16,7 +16,7 @@
 //! | `register_tech` | `base` (`"1p2um"`/`"0p5um"`), optional `name`/`vdd`/`vss`/`lmin`/`wmin` overrides; a new card past the farm's cap answers `registry_full` (507) |
 //! | `register_calibration` | `table` (a calibration document as produced by `ape-calib`); a new table past the cap answers `registry_full` (507) |
 //! | `design`        | `topology{mirror,buffer}`, `spec{gain,ugf_hz,area_max_m2,ibias,cl[,zout_ohm]}`, optional `technology`, `calibration`, `deadline_ms` |
-//! | `estimate`      | `deck` (SPICE text), `output` (node name), optional `technology`, `calibration`, `deadline_ms` |
+//! | `estimate`      | `deck` (SPICE text), `output` (node name), optional `technology`, `calibration`, `deadline_ms`; a deck whose linearised system exceeds [`MAX_NETLIST_UNKNOWNS`](ape_core::netest::MAX_NETLIST_UNKNOWNS) unknowns answers `oversized` (413) without being queued |
 //! | `cancel`        | `target` (the id of an in-flight request on this connection)   |
 //! | `stats`         | —                                                              |
 //! | `metrics`       | — (Prometheus text as a JSON string; also `GET /metrics`)      |
@@ -38,7 +38,8 @@ pub const DEFAULT_MAX_LINE: usize = 1 << 20;
 pub enum ErrorCode {
     /// Malformed JSON, missing/invalid fields, unknown op.
     BadRequest,
-    /// The request line exceeded the size cap.
+    /// The request line exceeded the size cap, or an `estimate` deck
+    /// exceeded the estimator's cap on unknowns.
     Oversized,
     /// `technology` referenced an unregistered fingerprint.
     UnknownTechnology,

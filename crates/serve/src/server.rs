@@ -23,6 +23,7 @@ use crate::proto::{
     self, err_response, ok_response, ErrorCode, WireError, WireRequest, DEFAULT_MAX_LINE,
 };
 use ape_core::cancel::CancelToken;
+use ape_core::netest::check_netlist_size;
 use ape_farm::{Farm, FarmConfig, FarmError, JobHandle, Request, SubmitOptions};
 use ape_netlist::{parse_spice, Technology};
 use ape_probe::render_prometheus;
@@ -710,8 +711,9 @@ fn dispatch<W: Write>(
             calibration,
             deadline_ms,
         } => {
-            // Parse on the connection thread: a bad deck never occupies an
-            // executor thread or an admission slot.
+            // Parse and size-check on the connection thread: a bad or
+            // oversized deck never occupies an executor thread or an
+            // admission slot.
             let (circuit, _deck_tech) = match parse_spice(&deck) {
                 Ok(parsed) => parsed,
                 Err(e) => {
@@ -721,6 +723,12 @@ fn dispatch<W: Write>(
                     return false;
                 }
             };
+            if let Err(e) = check_netlist_size(&circuit) {
+                state.stats.errors.fetch_add(1, Ordering::Relaxed);
+                let err = WireError::new(ErrorCode::Oversized, e.to_string());
+                conn.write_line(&err_response(id, &err));
+                return false;
+            }
             let Some(node) = circuit.find_node(&output) else {
                 state.stats.errors.fetch_add(1, Ordering::Relaxed);
                 let err = WireError::new(

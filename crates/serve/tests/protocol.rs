@@ -103,6 +103,50 @@ fn estimate_round_trips_and_rejects_bad_decks() {
     server.stop();
 }
 
+/// An RC-ladder deck driven at `in` whose linearised system has
+/// `unknowns` unknowns (the source's branch current plus the nodes).
+fn ladder_deck(unknowns: usize) -> String {
+    let mut deck = String::from("* ladder\nV1 in 0 DC 0 AC 1\n");
+    let mut prev = "in".to_string();
+    for k in 1..unknowns - 1 {
+        deck.push_str(&format!("R{k} {prev} n{k} 1k\nC{k} n{k} 0 1p\n"));
+        prev = format!("n{k}");
+    }
+    deck + ".end\n"
+}
+
+#[test]
+fn estimate_refuses_a_deck_past_the_unknowns_cap() {
+    use ape_core::netest::MAX_NETLIST_UNKNOWNS;
+    let server = start(ServerConfig::default());
+    let mut c = Client::connect(server.addr()).unwrap();
+    let far_end = |unknowns: usize| format!("n{}", unknowns - 2);
+    let at_cap = c
+        .call(
+            "estimate",
+            obj([
+                ("deck", s(&ladder_deck(MAX_NETLIST_UNKNOWNS))),
+                ("output", s(&far_end(MAX_NETLIST_UNKNOWNS))),
+            ]),
+        )
+        .unwrap();
+    assert!(at_cap.outcome.is_ok(), "{:?}", at_cap.outcome);
+    let over = c
+        .call(
+            "estimate",
+            obj([
+                ("deck", s(&ladder_deck(MAX_NETLIST_UNKNOWNS + 1))),
+                ("output", s(&far_end(MAX_NETLIST_UNKNOWNS + 1))),
+            ]),
+        )
+        .unwrap();
+    let err = over.outcome.unwrap_err();
+    assert!(is_code(&err, ErrorCode::Oversized), "{err:?}");
+    assert_eq!(err.status, 413);
+    assert!(c.ping().unwrap());
+    server.stop();
+}
+
 #[test]
 fn tenants_register_and_select() {
     let server = start(ServerConfig::default());

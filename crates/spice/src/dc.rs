@@ -5,7 +5,8 @@
 //! production SPICE practice, in this order:
 //!
 //! 1. **direct Newton** — full sources and the final 1 pS gmin, from the
-//!    source-seeded initial guess; most circuits converge here;
+//!    source-seeded initial guess overlaid with the caller's nodeset (see
+//!    [`dc_operating_point_from`]); most circuits converge here;
 //! 2. **gmin stepping** — a shunt conductance from every node to ground is
 //!    swept from 10 mS down to 1 pS, each stage warm-starting the next;
 //! 3. **source stepping** — if gmin stepping stalls, all independent sources
@@ -13,6 +14,10 @@
 //! 4. **pseudo-transient continuation** — if source stepping stalls too, an
 //!    artificial capacitor on every node relaxes the circuit into a stable
 //!    solution.
+//!
+//! The fallbacks always restart from the source-seeded guess, so a nodeset
+//! can change how many iterations the direct stage takes, never which path
+//! a failing solve falls back through.
 
 use crate::engine::{MatSnapshot, RealSolver};
 use crate::error::SpiceError;
@@ -279,8 +284,7 @@ pub(crate) struct DeviceScratch {
 ///
 /// MOSFETs go through a two-pass SoA batch: pass A walks the elements in
 /// order gathering every device's terminal voltages into contiguous
-/// [`BiasBatch`] lanes (and surfaces model/polarity errors exactly where
-/// the scalar loop would), the whole batch is evaluated back-to-back,
+/// [`BiasBatch`] lanes, the whole batch is evaluated back-to-back,
 /// and pass B re-walks the elements stamping from the result lanes.
 /// Contiguous runs of MOSFET stamps are accumulated in a [`BatchSink`]
 /// and flushed through [`Stamp::stamp_batch`]; the flush replays the
@@ -300,24 +304,16 @@ pub(crate) fn stamp_devices<M: Stamp<f64>>(
     scratch.biases.clear();
     for e in circuit.elements() {
         if let ElementKind::Mosfet {
-            polarity,
             model,
-            geometry: _,
             source,
             bulk,
+            ..
         } = &e.kind
         {
-            let card = tech
-                .model(model)
-                .ok_or_else(|| SpiceError::UnknownModel(model.clone()))?;
-            if card.polarity != *polarity {
-                // A PMOS device bound to an NMOS card (or vice versa)
-                // is a netlist mistake, not a solver bug: reject it as
-                // a typed error so fuzzed circuits cannot panic here.
-                return Err(SpiceError::BadCircuit(format!(
-                    "device polarity {:?} does not match model '{model}' ({:?})",
-                    polarity, card.polarity
-                )));
+            // Every card was checked up front (`check_models`); a lane
+            // without one would misalign the batch below.
+            if tech.model(model).is_none() {
+                return Err(SpiceError::UnknownModel(model.clone()));
             }
             let vd = u.voltage(x, e.a);
             let vg = u.voltage(x, e.b);
@@ -368,9 +364,8 @@ pub(crate) fn stamp_devices<M: Stamp<f64>>(
                 let goff = 1.0 / roff;
                 let g = goff + (gon - goff) * s;
                 let dg_dvc = (gon - goff) * s * (1.0 - s) / width;
-                g2(m, a, b, g);
                 let k = dg_dvc * vab;
-                gtrans(m, a, b, u.node_row(*cp), u.node_row(*cn), k);
+                switch_stamp(m, a, b, u.node_row(*cp), u.node_row(*cn), g, k);
                 // Norton correction so the linearisation passes through the
                 // true current at x.
                 let ieq = -k * vc;
@@ -383,14 +378,13 @@ pub(crate) fn stamp_devices<M: Stamp<f64>>(
                 let ids = scratch.evals.ids[lane];
                 let d = a;
                 let s_row = u.node_row(*source);
-                let g_row = b;
-                let b_row = u.node_row(*bulk);
-                // Conductance gds between drain and source.
-                g2(&mut scratch.sink, d, s_row, gds);
-                // gm: current d → s controlled by (g, s).
-                gtrans(&mut scratch.sink, d, s_row, g_row, s_row, gm);
-                // gmb: current d → s controlled by (b, s).
-                gtrans(&mut scratch.sink, d, s_row, b_row, s_row, gmb);
+                mos_stamp(
+                    &mut scratch.sink,
+                    [d, b, s_row, u.node_row(*bulk)],
+                    gds,
+                    gm,
+                    gmb,
+                );
                 // Norton equivalent current. vgs/vds come back from the
                 // gathered lanes (the exact differences pass A formed);
                 // the bulk term re-reads x because the scalar loop used
@@ -409,14 +403,88 @@ pub(crate) fn stamp_devices<M: Stamp<f64>>(
     Ok(())
 }
 
+/// A MOSFET's linearisation at rows `[drain, gate, source, bulk]`: `gds`
+/// between drain and source, then the `gm` and `gmb` transconductances,
+/// each a current drain → source controlled by (gate, source) and
+/// (bulk, source).
+fn mos_stamp<M: Stamp<f64>>(
+    m: &mut M,
+    [d, g, s, b]: [Option<usize>; 4],
+    gds: f64,
+    gm: f64,
+    gmb: f64,
+) {
+    g2(m, d, s, gds);
+    gtrans(m, d, s, g, s, gm);
+    gtrans(m, d, s, b, s, gmb);
+}
+
+/// A switch's linearisation: conductance `g` between `a` and `b` plus the
+/// `k·v(cp, cn)` term of its control dependence.
+fn switch_stamp<M: Stamp<f64>>(
+    m: &mut M,
+    a: Option<usize>,
+    b: Option<usize>,
+    cp: Option<usize>,
+    cn: Option<usize>,
+    g: f64,
+    k: f64,
+) {
+    g2(m, a, b, g);
+    gtrans(m, a, b, cp, cn, k);
+}
+
+/// Records where [`stamp_devices`] writes, from each device's terminals
+/// alone: the stamp helpers above with zero values, so the footprint
+/// cannot drift from the stamps and no device is evaluated.
+fn device_pattern(circuit: &Circuit, u: &Unknowns, pb: &mut PatternBuilder) {
+    for e in circuit.elements() {
+        let a = u.node_row(e.a);
+        let b = u.node_row(e.b);
+        match &e.kind {
+            ElementKind::Switch { cp, cn, .. } => {
+                switch_stamp(pb, a, b, u.node_row(*cp), u.node_row(*cn), 0.0, 0.0);
+            }
+            ElementKind::Mosfet { source, bulk, .. } => {
+                let rows = [a, b, u.node_row(*source), u.node_row(*bulk)];
+                mos_stamp(pb, rows, 0.0, 0.0, 0.0);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Checks every MOSFET's model card before an analysis starts: a missing
+/// card is [`SpiceError::UnknownModel`], and a card of the other polarity
+/// (a PMOS device bound to an NMOS card, or vice versa) is a netlist
+/// mistake reported as [`SpiceError::BadCircuit`], so fuzzed circuits
+/// fail before their first Newton iteration instead of panicking in it.
+pub(crate) fn check_models(circuit: &Circuit, tech: &Technology) -> Result<(), SpiceError> {
+    for e in circuit.elements() {
+        if let ElementKind::Mosfet {
+            polarity, model, ..
+        } = &e.kind
+        {
+            let card = tech
+                .model(model)
+                .ok_or_else(|| SpiceError::UnknownModel(model.clone()))?;
+            if card.polarity != *polarity {
+                return Err(SpiceError::BadCircuit(format!(
+                    "device polarity {:?} does not match model '{model}' ({:?})",
+                    polarity, card.polarity
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Builds the solver for an `n`-unknown DC/transient system, collecting the
 /// sparsity pattern (static + dynamic footprint, gmin diagonal, plus any
 /// analysis-specific extras via `extra`) when the backend resolves sparse.
 pub(crate) fn build_real_solver(
     circuit: &Circuit,
-    tech: &Technology,
     u: &Unknowns,
-    x: &[f64],
     backend: Backend,
     extra: impl FnOnce(&mut PatternBuilder),
 ) -> Result<RealSolver, SpiceError> {
@@ -430,17 +498,7 @@ pub(crate) fn build_real_solver(
         pb.add(r, r);
     }
     stamp_linear_dc(circuit, u, &mut pb)?;
-    let mut rhs_scratch = vec![0.0; n];
-    let mut dev_scratch = DeviceScratch::default();
-    stamp_devices(
-        circuit,
-        tech,
-        u,
-        x,
-        &mut pb,
-        &mut rhs_scratch,
-        &mut dev_scratch,
-    )?;
+    device_pattern(circuit, u, &mut pb);
     extra(&mut pb);
     Ok(RealSolver::sparse(pb.build()))
 }
@@ -503,22 +561,39 @@ pub fn dc_operating_point_with(
     tech: &Technology,
     opts: DcOptions,
 ) -> Result<OperatingPoint, SpiceError> {
+    dc_operating_point_from(circuit, tech, opts, &[])
+}
+
+/// [`dc_operating_point_with`] whose direct Newton stage starts from
+/// `nodeset`, as a SPICE `.nodeset` does: each listed node starts at its
+/// voltage instead of 0 V. Nodes pinned by a grounded voltage source keep
+/// the source value, and nodes outside the circuit or non-finite voltages
+/// are ignored.
+///
+/// The seed reaches the direct stage only. The gmin ladder, source
+/// stepping and pseudo-transient restart from the source-seeded guess
+/// exactly as an unseeded solve does, so a poor seed can cost the direct
+/// stage's iterations but never changes the fallback path. An empty
+/// nodeset is [`dc_operating_point_with`], bit for bit.
+///
+/// # Errors
+///
+/// Same as [`dc_operating_point`].
+pub fn dc_operating_point_from(
+    circuit: &Circuit,
+    tech: &Technology,
+    opts: DcOptions,
+    nodeset: &[(NodeId, f64)],
+) -> Result<OperatingPoint, SpiceError> {
     let _span = ape_probe::span("spice.dc");
     ape_probe::counter("spice.dc.solves", 1);
     circuit
         .validate()
         .map_err(|e| SpiceError::BadCircuit(e.to_string()))?;
-    for e in circuit.elements() {
-        if let ElementKind::Mosfet { model, .. } = &e.kind {
-            if tech.model(model).is_none() {
-                return Err(SpiceError::UnknownModel(model.clone()));
-            }
-        }
-    }
+    check_models(circuit, tech)?;
     let u = Unknowns::for_circuit(circuit);
-    let x0 = initial_guess(circuit, &u);
-    let mut eng = DcEngine::new(circuit, tech, &u, &x0, opts)?;
-    let x = eng.solve(x0, opts)?;
+    let mut eng = DcEngine::new(circuit, tech, &u, opts)?;
+    let x = eng.solve(initial_guess(circuit, &u, nodeset), opts)?;
     let iterations = eng.iterations;
 
     // Collect per-MOSFET operating info at the solution.
@@ -598,11 +673,10 @@ impl<'a> DcEngine<'a> {
         circuit: &'a Circuit,
         tech: &'a Technology,
         u: &'a Unknowns,
-        x0: &[f64],
         opts: DcOptions,
     ) -> Result<Self, SpiceError> {
         let n = u.dim();
-        let mut solver = build_real_solver(circuit, tech, u, x0, opts.backend, |_| {})?;
+        let mut solver = build_real_solver(circuit, u, opts.backend, |_| {})?;
         solver.clear();
         stamp_linear_dc(circuit, u, &mut solver)?;
         let linear = solver.snapshot();
@@ -621,10 +695,10 @@ impl<'a> DcEngine<'a> {
         })
     }
 
-    /// Runs the stages in order until one converges: direct Newton, the
-    /// gmin ladder, source stepping, then pseudo-transient continuation.
-    /// Each stage restarts from the initial guess `x`; within a stage every
-    /// step warm-starts the next.
+    /// Runs the stages in order until one converges: direct Newton from
+    /// `x` (the seeded guess), then the gmin ladder, source stepping and
+    /// pseudo-transient continuation. Each fallback restarts from the
+    /// source-seeded guess; within a stage every step warm-starts the next.
     fn solve(&mut self, mut x: Vec<f64>, opts: DcOptions) -> Result<Vec<f64>, SpiceError> {
         // Stage 1: plain Newton at full bias and the final gmin.
         if self.newton(&mut x, 1e-12, 1.0, opts).is_ok() {
@@ -633,7 +707,7 @@ impl<'a> DcEngine<'a> {
         ape_probe::counter("spice.dc.direct_fallbacks", 1);
 
         // Stage 2: gmin stepping at full bias.
-        x = initial_guess(self.circuit, self.u);
+        x = initial_guess(self.circuit, self.u, &[]);
         let laddered = [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12].iter().all(|&gmin| {
             ape_probe::counter("spice.dc.gmin_steps", 1);
             self.newton(&mut x, gmin, 1.0, opts).is_ok()
@@ -643,7 +717,7 @@ impl<'a> DcEngine<'a> {
         }
 
         // Stage 3: source stepping with a modest gmin, then tighten gmin.
-        x = initial_guess(self.circuit, self.u);
+        x = initial_guess(self.circuit, self.u, &[]);
         let ramped = (1..=20).all(|k| {
             ape_probe::counter("spice.dc.source_steps", 1);
             self.newton(&mut x, 1e-9, k as f64 / 20.0, opts).is_ok()
@@ -732,7 +806,7 @@ impl<'a> DcEngine<'a> {
     fn pseudo_transient(&mut self, opts: DcOptions) -> Result<Vec<f64>, SpiceError> {
         let n = self.u.dim();
         let n_nodes = self.u.n_nodes;
-        let mut x = initial_guess(self.circuit, self.u);
+        let mut x = initial_guess(self.circuit, self.u, &[]);
         let mut x_prev = vec![0.0; n];
         let c_art = 1e-9;
         let mut h = 1e-9;
@@ -814,9 +888,16 @@ impl<'a> DcEngine<'a> {
     }
 }
 
-/// Seeds node voltages from directly-attached voltage sources.
-fn initial_guess(circuit: &Circuit, u: &Unknowns) -> Vec<f64> {
+/// The starting point of a solve: `nodeset` voltages (every other node at
+/// 0 V), then node voltages pinned by directly-attached voltage sources,
+/// which win over the nodeset.
+fn initial_guess(circuit: &Circuit, u: &Unknowns, nodeset: &[(NodeId, f64)]) -> Vec<f64> {
     let mut x = vec![0.0; u.dim()];
+    for &(node, v) in nodeset {
+        if let Some(r) = u.node_row(node).filter(|&r| r < u.n_nodes && v.is_finite()) {
+            x[r] = v;
+        }
+    }
     for e in circuit.elements() {
         if let ElementKind::VoltageSource { dc, .. } = &e.kind {
             if e.b.is_ground() {
@@ -1030,6 +1111,89 @@ mod tests {
                     (a - b).abs() < opts.vtol,
                     "{}: node {idx}: {a} vs {b}",
                     c.title
+                );
+            }
+        }
+    }
+
+    /// A nodeset reaches the direct stage only: starved of iterations, a
+    /// seeded solve whose direct stage fails falls back exactly as the
+    /// unseeded one does, to the same bits in the same iterations. Given
+    /// time, a seed at the answer converges at once.
+    #[test]
+    fn a_nodeset_changes_the_direct_stage_only() {
+        let tech = Technology::default_1p2um();
+        for (c, max_iter) in [(diode_circuit(), 4), (pmos_mirror_circuit(), 8)] {
+            let opts = DcOptions {
+                max_iter,
+                ..DcOptions::default()
+            };
+            // Far from the answer (so the starved direct stage fails), a
+            // pinned supply, a non-finite value and a node the circuit
+            // does not have.
+            let mut nodeset: Vec<(NodeId, f64)> = (1..c.num_nodes())
+                .map(|i| (NodeId::new(i as u32), 40.0 * (i as f64)))
+                .collect();
+            nodeset.push((NodeId::new(1), f64::NAN));
+            nodeset.push((NodeId::new(c.num_nodes() as u32 + 3), 1.0));
+            let plain = dc_operating_point_with(&c, &tech, opts).unwrap();
+            let seeded = dc_operating_point_from(&c, &tech, opts, &nodeset).unwrap();
+            assert!(plain.iterations > max_iter, "{}: direct stage", c.title);
+            assert_eq!(format!("{plain:?}"), format!("{seeded:?}"), "{}", c.title);
+            assert_eq!(plain.iterations, seeded.iterations, "{}", c.title);
+
+            let direct = dc_operating_point(&c, &tech).unwrap();
+            let at_answer: Vec<(NodeId, f64)> = (1..c.num_nodes())
+                .map(|i| NodeId::new(i as u32))
+                .map(|n| (n, direct.voltage(n)))
+                .collect();
+            let warm =
+                dc_operating_point_from(&c, &tech, DcOptions::default(), &at_answer).unwrap();
+            assert!(
+                warm.iterations <= 2,
+                "{}: {} iterations from the answer, {} from the default guess",
+                c.title,
+                warm.iterations,
+                direct.iterations
+            );
+        }
+    }
+
+    /// A PMOS device bound to the NMOS card fails before the first Newton
+    /// iteration, with the same typed error in DC and in transient.
+    #[test]
+    fn mismatched_card_polarity_is_a_typed_error_in_dc_and_transient() {
+        let tech = Technology::default_1p2um();
+        let good = diode_circuit();
+        let op = dc_operating_point(&good, &tech).unwrap();
+        let mut bad = Circuit::new("diode");
+        let d = bad.node("d");
+        bad.add_idc("I1", Circuit::GROUND, d, 50e-6).unwrap();
+        bad.add_mosfet(
+            "M1",
+            d,
+            d,
+            Circuit::GROUND,
+            Circuit::GROUND,
+            MosPolarity::Pmos,
+            "CMOSN",
+            MosGeometry::new(20e-6, 2.4e-6),
+        )
+        .unwrap();
+        let expect = "device polarity Pmos does not match model 'CMOSN' (Nmos)";
+        for backend in [Backend::Dense, Backend::Sparse] {
+            let opts = DcOptions {
+                backend,
+                ..DcOptions::default()
+            };
+            let dc = dc_operating_point_with(&bad, &tech, opts).unwrap_err();
+            let mut topts = crate::tran::TranOptions::new(1e-9, 1e-8);
+            topts.backend = backend;
+            let tran = crate::tran::transient(&bad, &tech, &op, topts).unwrap_err();
+            for err in [dc, tran] {
+                assert!(
+                    matches!(&err, SpiceError::BadCircuit(m) if m.contains(expect)),
+                    "{backend:?}: {err}"
                 );
             }
         }

@@ -63,7 +63,10 @@ mod tran;
 
 pub use ac::{ac_sweep, ac_sweep_on, ac_sweep_with, decade_frequencies, AcOptions, AcSweep};
 pub use complex::Complex;
-pub use dc::{dc_operating_point, dc_operating_point_with, DcOptions, MosOp, OperatingPoint};
+pub use dc::{
+    dc_operating_point, dc_operating_point_from, dc_operating_point_with, DcOptions, MosOp,
+    OperatingPoint,
+};
 pub use error::SpiceError;
 pub use linearize::{linearize, LinearizedSystem};
 pub use mna::Unknowns;

@@ -1,5 +1,7 @@
 //! Dense linear algebra: LU factorisation with partial pivoting, generic
-//! over real and complex scalars.
+//! over real and complex scalars. [`Matrix::solve`] factors and solves in
+//! one call; [`Matrix::lu`] keeps the factors for several right-hand sides
+//! and returns the same bits per solve.
 //!
 //! The dense solver serves systems of up to [`DENSE_CUTOFF`] unknowns
 //! (where it beats the sparse bookkeeping) and acts as the reference
@@ -196,6 +198,29 @@ impl<T: Scalar> Matrix<T> {
     /// Returns `None` on singularity. The matrix contents are destroyed
     /// either way.
     pub fn solve_in_place(&mut self, b: &mut [T]) -> Option<()> {
+        self.factor_in_place(|k, p| b.swap(k, p))?;
+        self.substitute(b)
+    }
+
+    /// LU factorisation with partial pivoting, for solving several
+    /// right-hand sides against one matrix. Each [`Lu::solve_in_place`]
+    /// returns the bits [`solve`](Self::solve) would.
+    ///
+    /// Returns `None` when the matrix is numerically singular.
+    pub fn lu(&self) -> Option<Lu<T>> {
+        let mut lu = self.clone();
+        let mut swaps = vec![0; self.n];
+        lu.factor_in_place(|k, p| swaps[k] = p)?;
+        Some(Lu { lu, swaps })
+    }
+
+    /// The one dense elimination loop: Gaussian elimination with partial
+    /// pivoting that leaves `U` on and above the diagonal and each
+    /// multiplier below it (a zero where a row needs no elimination).
+    /// Pivot swaps exchange whole rows, multipliers included, and are
+    /// reported in order as `swap(k, p)`, `p ≥ k`, for the right-hand side
+    /// to replay.
+    fn factor_in_place(&mut self, mut swap: impl FnMut(usize, usize)) -> Option<()> {
         let n = self.n;
         let tol = pivot_tol(self.max_magnitude());
         let a = &mut self.data;
@@ -217,23 +242,40 @@ impl<T: Scalar> Matrix<T> {
                 for c in 0..n {
                     a.swap(k * n + c, p * n + c);
                 }
-                b.swap(k, p);
             }
+            swap(k, p);
             let pivot = a[k * n + k];
             for r in (k + 1)..n {
                 let factor = a[r * n + k] / pivot;
+                a[r * n + k] = factor;
                 if factor == T::zero() {
                     continue;
                 }
-                a[r * n + k] = T::zero();
                 for c in (k + 1)..n {
                     let sub = factor * a[k * n + c];
                     a[r * n + c] = a[r * n + c] - sub;
                 }
+            }
+        }
+        Some(())
+    }
+
+    /// Forward then back substitution through a factorisation left by
+    /// [`factor_in_place`](Self::factor_in_place), on a right-hand side
+    /// whose rows have already been swapped. Skips zero multipliers, so
+    /// the arithmetic matches eliminating `b` alongside the matrix.
+    fn substitute(&self, b: &mut [T]) -> Option<()> {
+        let n = self.n;
+        let a = &self.data;
+        for k in 0..n {
+            for r in (k + 1)..n {
+                let factor = a[r * n + k];
+                if factor == T::zero() {
+                    continue;
+                }
                 b[r] = b[r] - factor * b[k];
             }
         }
-        // Back substitution.
         for k in (0..n).rev() {
             let mut acc = b[k];
             for c in (k + 1)..n {
@@ -246,6 +288,31 @@ impl<T: Scalar> Matrix<T> {
             b[k] = v;
         }
         Some(())
+    }
+}
+
+/// A dense LU factorisation from [`Matrix::lu`]: factor once, then solve
+/// any number of right-hand sides.
+#[derive(Debug, Clone)]
+pub struct Lu<T> {
+    lu: Matrix<T>,
+    /// Row `k` was swapped with row `swaps[k]` at elimination step `k`.
+    swaps: Vec<usize>,
+}
+
+impl<T: Scalar> Lu<T> {
+    /// Overwrites `b` with the solution of `A·x = b`. Returns `None` when
+    /// a non-finite value appears.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` differs from the matrix dimension.
+    pub fn solve_in_place(&self, b: &mut [T]) -> Option<()> {
+        assert_eq!(b.len(), self.lu.n);
+        for (k, &p) in self.swaps.iter().enumerate() {
+            b.swap(k, p);
+        }
+        self.lu.substitute(b)
     }
 }
 
@@ -372,6 +439,31 @@ mod tests {
             .map(|(a, bb)| (a - bb).abs())
             .fold(0.0, f64::max);
         assert!(resid < 1e-10, "residual {resid}");
+    }
+
+    #[test]
+    fn lu_replays_the_one_shot_solve_for_every_right_hand_side() {
+        // Row swaps at two steps, a zero multiplier and a fill-in entry.
+        let mut m: Matrix<f64> = Matrix::zeros(3);
+        for (r, c, v) in [
+            (0, 1, 1.0),
+            (0, 2, 3.0),
+            (1, 0, 2.0),
+            (1, 2, -1.0),
+            (2, 0, 4.0),
+            (2, 1, 0.5),
+        ] {
+            m[(r, c)] = v;
+        }
+        let lu = m.lu().unwrap();
+        for b in [[1.0, 2.0, 3.0], [0.1, -7.0, 1e-3], [0.0, 0.0, 1.0]] {
+            let mut x = b;
+            lu.solve_in_place(&mut x).unwrap();
+            assert_eq!(x.to_vec(), m.solve(&b).unwrap());
+        }
+        let mut singular: Matrix<f64> = Matrix::zeros(2);
+        singular[(0, 0)] = 1.0;
+        assert!(singular.lu().is_none());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! `DESIGN.md`. Steps that fail to converge are halved recursively.
 
 use crate::dc::{
-    build_real_solver, rhs_sources, stamp_devices, stamp_linear_dc, DeviceScratch, OperatingPoint,
-    SourceValue,
+    build_real_solver, check_models, rhs_sources, stamp_devices, stamp_linear_dc, DeviceScratch,
+    OperatingPoint, SourceValue,
 };
 use crate::engine::{MatSnapshot, RealSolver};
 use crate::error::SpiceError;
@@ -132,6 +132,7 @@ pub fn transient(
             opts.tstop / opts.tstep
         )));
     }
+    check_models(circuit, tech)?;
     let u = Unknowns::for_circuit(circuit);
     let n = u.dim();
     let mut x = op.solution().to_vec();
@@ -195,7 +196,7 @@ pub fn transient(
         is.i_prev = is.row.map(|r| x[r]).unwrap_or(0.0);
     }
 
-    let solver = build_real_solver(circuit, tech, &u, &x, opts.backend, |pb| {
+    let solver = build_real_solver(circuit, &u, opts.backend, |pb| {
         // Companion footprints on top of the shared DC pattern.
         for cs in &caps {
             let (a, b) = (u.node_row(cs.a), u.node_row(cs.b));
