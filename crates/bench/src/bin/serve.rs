@@ -13,9 +13,9 @@
 //! instead (the CI workflow starts one and points the bench at it).
 //! Request streams across connections overlap on purpose. For an
 //! in-process daemon the bench then checks, by construction, that answers
-//! land in the shared estimation graph: a fresh graph on the bench thread,
-//! attached to the daemon's store, must be served a request the daemon
-//! answered, bit-identical to the wire answer.
+//! land in the shared estimation graph: a graph on the bench thread over
+//! the daemon's store must be served a request the daemon answered,
+//! bit-identical to the wire answer.
 //!
 //! Writes `results/BENCH_serve.json` (schema 2). `--smoke` shrinks the
 //! request counts for CI.
@@ -25,7 +25,7 @@
 use ape_bench::report::{latency_section, write_bench};
 use ape_bench::{fmt_val, render_table};
 use ape_core::basic::MirrorTopology;
-use ape_core::graph::set_thread_shared_memo;
+use ape_core::graph::with_graph;
 use ape_core::opamp::{OpAmp, OpAmpSpec, OpAmpTopology};
 use ape_netlist::Technology;
 use ape_serve::client::Client;
@@ -180,8 +180,8 @@ fn shared_graph_hits(addr: SocketAddr) -> u64 {
 }
 
 /// The by-construction shared-store check: asks the daemon for `point`
-/// over the wire, then designs it on this thread through a fresh graph
-/// attached to the daemon's store. The top-level lookup must hit (so
+/// over the wire, then designs it on this thread in a graph over the
+/// daemon's store. The top-level lookup must hit (so
 /// nothing is computed and nothing misses), and the design must render
 /// exactly like the wire answer.
 fn store_serves_answered_request(
@@ -201,20 +201,21 @@ fn store_serves_answered_request(
         .outcome
         .map_err(|e| format!("design refused: {e:?}"))?;
     let before = store.stats();
-    set_thread_shared_memo(Some(store.clone()));
-    let direct = OpAmp::design(
-        &Technology::default_1p2um(),
-        OpAmpTopology::miller(MirrorTopology::Simple, false),
-        OpAmpSpec {
-            gain,
-            ugf_hz: ugf,
-            area_max_m2: 20e-9,
-            ibias: 1e-5,
-            zout_ohm: None,
-            cl: 1e-11,
-        },
-    );
-    set_thread_shared_memo(None);
+    let spec = OpAmpSpec {
+        gain,
+        ugf_hz: ugf,
+        area_max_m2: 20e-9,
+        ibias: 1e-5,
+        zout_ohm: None,
+        cl: 1e-11,
+    };
+    let direct = with_graph(&Technology::default_1p2um(), None, Some(&store), |g| {
+        OpAmp::design_in(
+            g,
+            OpAmpTopology::miller(MirrorTopology::Simple, false),
+            spec,
+        )
+    });
     let direct = direct.map_err(|e| format!("direct design: {e}"))?;
     let after = store.stats();
     if after.hits <= before.hits || after.misses != before.misses {

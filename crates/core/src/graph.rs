@@ -40,21 +40,28 @@
 //! evaluation, hit or miss, also opens one `ape.<kind>` span, so a trace
 //! shows the node tree itself.
 //!
-//! # Sharing memos across threads
+//! # A graph is a function of its inputs
 //!
-//! A thread's graph is private (single-threaded, `Rc`-based), which is
-//! the right shape for one sweep but wastes work in a long-lived service:
-//! every worker re-derives the same subtrees from cold. A [`SharedMemo`]
-//! is a process-wide, sharded read-through layer behind any number of
-//! per-thread graphs: a local miss consults the shared store before
-//! computing, and every computed value is published back. Because a
-//! memoized value is a pure function of its bit-exact fingerprint, a
-//! value computed by one thread is bit-identical to what any other
-//! thread would have computed — reading through the shared store cannot
-//! change results, only skip work. Attach one with
-//! [`set_thread_shared_memo`] (done by `ape-farm` workers when
-//! `FarmConfig::shared_graph` is set) and watch
-//! `ape.graph.<kind>.shared_hit` to see cross-thread reuse.
+//! A graph's answers depend on three inputs its caller names: the
+//! [`Technology`], an optional [`Calibration`] table and an optional
+//! [`SharedMemo`]. [`with_graph`] runs a closure in this thread's one warm
+//! graph when those three match the ones it was built for (technology and
+//! table by content fingerprint, the store by `Arc` identity) and
+//! replaces it otherwise, so consecutive requests with the same inputs
+//! reuse each other's subtrees. Direct callers enter it through
+//! [`with_thread_graph`], which names the thread's calibration table (see
+//! [`set_thread_calibration`]) and no store; `ape-farm` names each job's
+//! technology and table and, when `FarmConfig::shared_graph` is set, the
+//! farm's store.
+//!
+//! A graph memoizes in one place: in its [`SharedMemo`] when it has one,
+//! in its own per-kind memo otherwise. A store is a process-wide, sharded
+//! memo that any number of graphs on any threads read and publish to.
+//! Because a memoized value is a pure function of its bit-exact
+//! fingerprint, a value computed by one thread is bit-identical to what
+//! any other thread would have computed — reading through the store
+//! cannot change results, only skip work. `ape.graph.<kind>.shared_hit`
+//! counts its reuse.
 
 use crate::error::ApeError;
 use ape_calib::Calibration;
@@ -86,8 +93,8 @@ pub const DEFAULT_KIND_CAPACITY: usize = 4096;
 /// graph so their results are memoized too.
 ///
 /// The bound technology is *not* part of a node's fingerprint: a graph is
-/// constructed for one [`Technology`] and the thread-shared graph is
-/// re-created whenever the technology fingerprint changes.
+/// constructed for one [`Technology`], and [`with_graph`] replaces the
+/// thread's graph whenever the technology fingerprint changes.
 pub trait Component {
     /// The memoized result type. Cloned out of the memo on a hit, so keep
     /// it cheap to clone (all APE results are plain data). `Send + Sync`
@@ -146,15 +153,17 @@ pub trait Component {
 /// Per-kind traffic counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NodeStats {
-    /// Requests answered from the thread-local memo.
+    /// Requests answered from the graph's own memo (a graph without a
+    /// store).
     pub hits: usize,
-    /// Requests answered from an attached [`SharedMemo`] (another thread
-    /// computed the value first).
+    /// Requests answered from the graph's [`SharedMemo`] (a graph with a
+    /// store; this or another graph computed the value first).
     pub shared_hits: usize,
     /// Requests that ran [`Component::compute`].
     pub misses: usize,
     /// The subset of misses that hit a kind which already held entries —
     /// i.e. recomputes caused by changed inputs rather than a cold graph.
+    /// A graph with a store holds no entries of its own and counts none.
     pub dirty: usize,
     /// Entries dropped to hold the per-kind capacity bound.
     pub evictions: usize,
@@ -197,7 +206,8 @@ pub struct KindStats {
     pub kind: &'static str,
     /// Child kinds the component declared.
     pub children: &'static [&'static str],
-    /// Entries currently memoized.
+    /// Entries currently memoized in the graph's own memo (always 0 for
+    /// a graph with a store).
     pub len: usize,
     /// Traffic counters.
     pub stats: NodeStats,
@@ -207,9 +217,9 @@ struct KindMemo {
     entries: HashMap<u64, Rc<dyn Any>>,
     stats: NodeStats,
     children: &'static [&'static str],
-    /// Key prefix for this `(technology, kind)` pair in an attached
-    /// [`SharedMemo`]; kinds are hashed (not pointer-compared) so two
-    /// graphs agree on the tag regardless of where the `&'static str`
+    /// Key prefix for this `(technology, calibration, kind)` triple in the
+    /// graph's [`SharedMemo`]; kinds are hashed (not pointer-compared) so
+    /// two graphs agree on the tag regardless of where the `&'static str`
     /// lives.
     shared_tag: u64,
     /// `ape.<kind>`: the span every evaluation of this kind opens.
@@ -300,16 +310,17 @@ type SharedShard = HashMap<(u64, u64), Arc<dyn Any + Send + Sync>>;
 /// [`EstimationGraph`]s.
 ///
 /// Keys are `(shared_tag, fingerprint)` where the tag folds the
-/// technology fingerprint with the node kind, so one store can serve
-/// multiple tenants' technologies at once without cross-talk. Values are
-/// type-erased `Arc`s; a downcast mismatch (possible only under a hash
-/// collision between kinds) is treated as a miss, never an error.
+/// technology and calibration fingerprints with the node kind, so one
+/// store can serve multiple tenants' technologies and tables at once
+/// without cross-talk. Values are type-erased `Arc`s; a downcast mismatch
+/// (possible only under a hash collision between kinds) is treated as a
+/// miss, never an error.
 ///
-/// Sharing is sound for the same reason per-thread memoization is:
-/// every value is a pure function of its bit-exact key, so a value
-/// computed on any thread is bit-identical to a local recompute. Each of
-/// the 16 shards holds at most a sixteenth of [`DEFAULT_SHARED_CAPACITY`]
-/// and drops its whole generation when full — recomputes repopulate it
+/// Sharing is sound for the same reason a graph's own memo is: every
+/// value is a pure function of its bit-exact key, so a value computed on
+/// any thread is bit-identical to a local recompute. Each of the 16
+/// shards holds at most a sixteenth of [`DEFAULT_SHARED_CAPACITY`] and
+/// drops its whole generation when full — recomputes repopulate it
 /// losslessly.
 pub struct SharedMemo {
     shards: Vec<Mutex<SharedShard>>,
@@ -435,12 +446,15 @@ impl SharedMemo {
     }
 }
 
-/// A memoized estimation graph bound to one technology.
+/// A memoized estimation graph bound to one technology, an optional
+/// calibration table and an optional [`SharedMemo`].
 ///
 /// Cheap to create; estimator entry points normally share one per thread
-/// via [`with_thread_graph`] so consecutive designs — annealing moves,
-/// sweep neighbors — reuse each other's clean subtrees. Optionally backed
-/// by a cross-thread [`SharedMemo`] consulted on local misses.
+/// via [`with_graph`] so consecutive designs — annealing moves, sweep
+/// neighbors — reuse each other's clean subtrees. A graph with a store
+/// memoizes only there, so it shares every result with the other graphs
+/// over that store; a graph without one memoizes in its own per-kind
+/// memo.
 pub struct EstimationGraph {
     tech: Technology,
     tech_fp: u64,
@@ -464,13 +478,14 @@ impl std::fmt::Debug for EstimationGraph {
 }
 
 impl EstimationGraph {
-    /// Creates an empty graph for `tech`, holding at most
-    /// [`DEFAULT_KIND_CAPACITY`] results per node kind.
+    /// Creates an empty graph for `tech`.
     ///
-    /// With `shared`, local misses read through that cross-thread store
-    /// and computed values are published back to it. With `calib`, every
-    /// node applies the table's corrections (see [`Component::calibrate`])
-    /// and the table's content fingerprint folds into all memo keys.
+    /// With `shared`, every node is looked up in and published to that
+    /// cross-thread store and nothing is memoized locally; without it, the
+    /// graph holds at most [`DEFAULT_KIND_CAPACITY`] results per node kind.
+    /// With `calib`, every node applies the table's corrections (see
+    /// [`Component::calibrate`]) and the table's content fingerprint folds
+    /// into all memo keys.
     pub fn new(
         tech: &Technology,
         shared: Option<Arc<SharedMemo>>,
@@ -486,7 +501,7 @@ impl EstimationGraph {
         }
     }
 
-    /// The attached cross-thread store, if any.
+    /// The cross-thread store this graph memoizes in, if any.
     pub fn shared_memo(&self) -> Option<&Arc<SharedMemo>> {
         self.shared.as_ref()
     }
@@ -494,12 +509,6 @@ impl EstimationGraph {
     /// The applied calibration table, if any.
     pub fn calibration(&self) -> Option<&Arc<Calibration>> {
         self.calib.as_ref()
-    }
-
-    /// Content fingerprint of the applied calibration table (0 when
-    /// uncalibrated). Part of every memo key.
-    pub fn calibration_fingerprint(&self) -> u64 {
-        self.calib_fp
     }
 
     /// The bound technology.
@@ -577,10 +586,12 @@ impl EstimationGraph {
 
     /// Evaluates `component`, answering from the memo when its
     /// `(kind, fingerprint)` was seen before and computing (then
-    /// memoizing) otherwise. Every call opens one `ape.<kind>` span that
-    /// stays open over the compute, so child nodes — which
-    /// [`Component::compute`] evaluates through this same graph — nest
-    /// under it. No memo borrow is held while the compute runs.
+    /// memoizing) otherwise. The memo is the graph's [`SharedMemo`] when it
+    /// has one and its own per-kind memo otherwise, never both. Every call
+    /// opens one `ape.<kind>` span that stays open over the compute, so
+    /// child nodes — which [`Component::compute`] evaluates through this
+    /// same graph — nest under it. No memo borrow is held while the
+    /// compute runs.
     ///
     /// # Errors
     ///
@@ -591,34 +602,26 @@ impl EstimationGraph {
             let mut kinds = self.kinds.borrow_mut();
             let memo = self.kind_memo(&mut kinds, component);
             let span = ape_probe::span(memo.span);
-            if let Some(found) = memo.entries.get(&fp) {
-                if let Some(out) = found.downcast_ref::<C::Output>() {
-                    memo.stats.hits += 1;
-                    ape_probe::counter("ape.graph.hit", 1);
-                    ape_probe::counter(memo.hit_ctr, 1);
-                    return Ok(out.clone());
+            match &self.shared {
+                Some(store) => {
+                    let found = store.lookup(memo.shared_tag, fp);
+                    if let Some(out) = found.and_then(|v| v.downcast_ref::<C::Output>().cloned()) {
+                        memo.stats.shared_hits += 1;
+                        ape_probe::counter("ape.graph.shared.hit", 1);
+                        ape_probe::counter(memo.shared_hit_ctr, 1);
+                        return Ok(out);
+                    }
+                }
+                None => {
+                    let found = memo.entries.get(&fp);
+                    if let Some(out) = found.and_then(|v| v.downcast_ref::<C::Output>()) {
+                        memo.stats.hits += 1;
+                        ape_probe::counter("ape.graph.hit", 1);
+                        ape_probe::counter(memo.hit_ctr, 1);
+                        return Ok(out.clone());
+                    }
                 }
             }
-            (span, memo.shared_tag)
-        };
-        // Local miss: another thread may have computed this node already.
-        if let Some(store) = &self.shared {
-            if let Some(found) = store.lookup(shared_tag, fp) {
-                if let Some(out) = found.downcast_ref::<C::Output>() {
-                    let out = out.clone();
-                    let mut kinds = self.kinds.borrow_mut();
-                    let memo = self.kind_memo(&mut kinds, component);
-                    memo.stats.shared_hits += 1;
-                    ape_probe::counter("ape.graph.shared.hit", 1);
-                    ape_probe::counter(memo.shared_hit_ctr, 1);
-                    Self::insert_local(memo, fp, Rc::new(out.clone()));
-                    return Ok(out);
-                }
-            }
-        }
-        {
-            let mut kinds = self.kinds.borrow_mut();
-            let memo = self.kind_memo(&mut kinds, component);
             memo.stats.misses += 1;
             ape_probe::counter("ape.graph.miss", 1);
             ape_probe::counter(memo.miss_ctr, 1);
@@ -627,7 +630,8 @@ impl EstimationGraph {
                 ape_probe::counter("ape.graph.dirty", 1);
                 ape_probe::counter(memo.dirty_ctr, 1);
             }
-        }
+            (span, memo.shared_tag)
+        };
         // The memo borrow is released: compute evaluates its child nodes
         // through this same graph.
         let mut out = component.compute(self)?;
@@ -638,13 +642,17 @@ impl EstimationGraph {
         if let Some(cal) = &self.calib {
             component.calibrate(&mut out, cal)?;
         }
-        if let Some(store) = &self.shared {
-            store.insert(shared_tag, fp, Arc::new(out.clone()));
-            ape_probe::counter("ape.graph.shared.insert", 1);
+        match &self.shared {
+            Some(store) => {
+                store.insert(shared_tag, fp, Arc::new(out.clone()));
+                ape_probe::counter("ape.graph.shared.insert", 1);
+            }
+            None => {
+                let mut kinds = self.kinds.borrow_mut();
+                let memo = self.kind_memo(&mut kinds, component);
+                Self::insert_local(memo, fp, Rc::new(out.clone()));
+            }
         }
-        let mut kinds = self.kinds.borrow_mut();
-        let memo = self.kind_memo(&mut kinds, component);
-        Self::insert_local(memo, fp, Rc::new(out.clone()));
         Ok(out)
     }
 
@@ -761,92 +769,73 @@ impl EstimationGraph {
 }
 
 thread_local! {
-    /// One shared graph slot per thread, tagged with the fingerprints of
-    /// the technology *and calibration table* it was built for. Public
-    /// estimator entry points enter it once per call so repeated
-    /// (sub)designs reuse memoized nodes, as the paper's §4.1 object store
-    /// does — generalised to every level.
-    static CURRENT: RefCell<Option<(u64, u64, Rc<EstimationGraph>)>> = const { RefCell::new(None) };
-    /// Cross-thread store this thread's graphs attach to at creation;
-    /// installed by pool workers via [`set_thread_shared_memo`].
-    static SHARED_OVERRIDE: RefCell<Option<Arc<SharedMemo>>> = const { RefCell::new(None) };
-    /// Calibration table this thread's graphs apply; installed via
-    /// [`set_thread_calibration`] (pool workers assert it per job).
+    /// This thread's one warm graph. [`with_graph`] reuses it while its
+    /// inputs match and replaces it otherwise, so repeated (sub)designs
+    /// reuse memoized nodes, as the paper's §4.1 object store does —
+    /// generalised to every level.
+    static CURRENT: RefCell<Option<Rc<EstimationGraph>>> = const { RefCell::new(None) };
+    /// Calibration table [`with_thread_graph`] names for this thread's
+    /// direct callers; installed via [`set_thread_calibration`].
     static CALIB_OVERRIDE: RefCell<Option<Arc<Calibration>>> = const { RefCell::new(None) };
 }
 
-/// Runs `f` against this thread's shared graph for `tech`, creating it on
-/// first use and replacing it when the technology fingerprint — or the
-/// installed calibration table's fingerprint — changes. A [`SharedMemo`]
-/// installed via [`set_thread_shared_memo`] and a [`Calibration`]
-/// installed via [`set_thread_calibration`] are attached to every graph
-/// created here.
+/// Runs `f` against this thread's graph for the inputs `tech`, `calib` and
+/// `store`. The thread keeps one graph: it is reused when all three match
+/// the inputs it was built for — the technology and the table by content
+/// fingerprint, the store by `Arc` identity — and replaced by a fresh
+/// graph otherwise.
 ///
-/// Each public estimator entry point calls this once; the nodes below it
-/// evaluate their children in the graph `f` is handed. The slot's borrow
-/// is released before `f` runs, so a nested call still sees the same
-/// graph instance.
-pub fn with_thread_graph<R>(tech: &Technology, f: impl FnOnce(&EstimationGraph) -> R) -> R {
-    let fp = tech.fingerprint();
-    let cal_fp = CALIB_OVERRIDE.with(|c| c.borrow().as_ref().map_or(0, |cal| cal.fingerprint()));
+/// A public estimator entry point enters a graph once per call; the nodes
+/// below it evaluate their children in the graph `f` is handed. The slot's
+/// borrow is released before `f` runs, so a nested call with the same
+/// inputs sees the same graph instance, and a nested call with other
+/// inputs replaces the slot while `f` keeps its own graph alive.
+pub fn with_graph<R>(
+    tech: &Technology,
+    calib: Option<&Arc<Calibration>>,
+    store: Option<&Arc<SharedMemo>>,
+    f: impl FnOnce(&EstimationGraph) -> R,
+) -> R {
+    let tech_fp = tech.fingerprint();
+    let calib_fp = calib.map_or(0, |c| c.fingerprint());
     let graph = CURRENT.with(|slot| {
         let mut slot = slot.borrow_mut();
         match &*slot {
-            Some((have, have_cal, graph)) if *have == fp && *have_cal == cal_fp => Rc::clone(graph),
+            Some(g)
+                if g.tech_fp == tech_fp
+                    && g.calib_fp == calib_fp
+                    && g.shared.as_ref().map(Arc::as_ptr) == store.map(Arc::as_ptr) =>
+            {
+                Rc::clone(g)
+            }
             _ => {
-                let graph = Rc::new(EstimationGraph::new(
-                    tech,
-                    thread_shared_memo(),
-                    thread_calibration(),
-                ));
-                *slot = Some((fp, cal_fp, Rc::clone(&graph)));
-                graph
+                let g = Rc::new(EstimationGraph::new(tech, store.cloned(), calib.cloned()));
+                *slot = Some(Rc::clone(&g));
+                g
             }
         }
     });
     f(&graph)
 }
 
-/// Installs (or removes) the [`SharedMemo`] this thread's graphs read
-/// through. Installing the store that is already attached (by `Arc`
-/// identity, or `None` over `None`) changes nothing, so a per-job caller
-/// keeps this thread's warm graph; a different store drops the thread
-/// graph so the next evaluation attaches it.
-///
-/// Farm jobs and [`evaluate_many`] tasks call this per task on shared
-/// executor threads. With `FarmConfig::shared_graph` enabled that is also
-/// what removes the per-worker warm-up cost: the first job on every other
-/// worker finds the first worker's subtrees in the shared store instead
-/// of cold-computing them.
-pub fn set_thread_shared_memo(memo: Option<Arc<SharedMemo>>) {
-    let same = SHARED_OVERRIDE.with(|s| match (&*s.borrow(), &memo) {
-        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-        (None, None) => true,
-        _ => false,
-    });
-    if !same {
-        CURRENT.with(|slot| *slot.borrow_mut() = None);
-        SHARED_OVERRIDE.with(|s| *s.borrow_mut() = memo);
-    }
+/// [`with_graph`] for a direct caller: the thread's calibration table (see
+/// [`set_thread_calibration`]) and no store.
+pub fn with_thread_graph<R>(tech: &Technology, f: impl FnOnce(&EstimationGraph) -> R) -> R {
+    with_graph(tech, thread_calibration().as_ref(), None, f)
 }
 
-/// The [`SharedMemo`] this thread's graphs attach to, if any.
-pub fn thread_shared_memo() -> Option<Arc<SharedMemo>> {
-    SHARED_OVERRIDE.with(|s| s.borrow().clone())
-}
-
-/// Installs (or removes) the [`Calibration`] this thread's graphs apply.
-/// The current thread graph keeps running until the next
-/// [`with_thread_graph`] call notices the fingerprint change and rebuilds
-/// — entries under the old table stay keyed to it and can never answer a
-/// calibrated lookup (or vice versa). A table whose content fingerprint
-/// matches the installed one (say, reloaded from disk) keeps this
-/// thread's warm graph, so per-job callers pay nothing.
+/// Installs (or removes) the [`Calibration`] that [`with_thread_graph`]
+/// names for this thread's direct callers. The current thread graph keeps
+/// running until the next [`with_thread_graph`] call notices the
+/// fingerprint change and rebuilds — entries under the old table stay
+/// keyed to it and can never answer a calibrated lookup (or vice versa).
+/// A table whose content fingerprint matches the installed one (say,
+/// reloaded from disk) keeps this thread's warm graph.
 pub fn set_thread_calibration(calib: Option<Arc<Calibration>>) {
     CALIB_OVERRIDE.with(|c| *c.borrow_mut() = calib);
 }
 
-/// The [`Calibration`] this thread's graphs apply, if any.
+/// The [`Calibration`] [`with_thread_graph`] names on this thread, if any.
 pub fn thread_calibration() -> Option<Arc<Calibration>> {
     CALIB_OVERRIDE.with(|c| c.borrow().clone())
 }
@@ -854,50 +843,41 @@ pub fn thread_calibration() -> Option<Arc<Calibration>> {
 /// Evaluates independent components as executor tasks, returning results
 /// in input order.
 ///
-/// Each task re-installs the submitting thread's [`SharedMemo`],
-/// [`Calibration`] and cancellation token on whichever worker runs it,
-/// evaluates through that worker's thread graph, and publishes
-/// shared-eligible subtrees — so concurrent lanes warm each other exactly
-/// as sequential evaluation warms later iterations.
+/// Each task enters [`with_graph`] with `graph`'s technology, calibration
+/// table and store on whichever worker runs it, and carries the submitting
+/// thread's cancellation token — so concurrent lanes over one store warm
+/// each other exactly as sequential evaluation warms later iterations.
 /// Because every node is a pure memoized function of its fingerprint,
 /// the results are bit-identical to a sequential
-/// `components.iter().map(|c| with_thread_graph(tech, |g| g.evaluate(c)))`
-/// loop at any worker count (gated by `graph_equivalence.rs`). On an
-/// `Executor::new(0)` pool the scope runs every task inline in input
-/// order, which *is* that loop; a single component skips the scope.
+/// `components.iter().map(|c| graph.evaluate(c))` loop at any worker
+/// count (gated by `graph_equivalence.rs`). On an `Executor::new(0)` pool
+/// the scope runs every task inline in input order, in this thread's graph
+/// for the same inputs; a single component is evaluated in `graph` itself.
 pub fn evaluate_many<C>(
     exec: &ape_exec::Executor,
-    tech: &Technology,
+    graph: &EstimationGraph,
     components: &[C],
 ) -> Vec<Result<C::Output, ApeError>>
 where
     C: Component + Sync,
 {
     if components.len() <= 1 {
-        return components
-            .iter()
-            .map(|c| with_thread_graph(tech, |g| g.evaluate(c)))
-            .collect();
+        return components.iter().map(|c| graph.evaluate(c)).collect();
     }
     ape_probe::counter("ape.graph.evaluate_many", 1);
     ape_probe::counter("ape.graph.evaluate_many_tasks", components.len() as u64);
-    let memo = thread_shared_memo();
-    let calib = thread_calibration();
+    let (tech, calib, store) = (&graph.tech, graph.calib.as_ref(), graph.shared.as_ref());
     let token = crate::cancel::current();
     let mut results: Vec<Option<Result<C::Output, ApeError>>> = Vec::new();
     results.resize_with(components.len(), || None);
     exec.scope(|s| {
         for (c, slot) in components.iter().zip(results.iter_mut()) {
-            let memo = memo.clone();
-            let calib = calib.clone();
             let token = token.clone();
             s.spawn(move || {
                 // Carry the submitter's cancellation across the executor
                 // boundary; the guard restores the worker's own token.
                 let _cancel_guard = token.map(crate::cancel::set_current);
-                set_thread_shared_memo(memo);
-                set_thread_calibration(calib);
-                *slot = Some(with_thread_graph(tech, |g| g.evaluate(c)));
+                *slot = Some(with_graph(tech, calib, store, |g| g.evaluate(c)));
             });
         }
     });
@@ -909,43 +889,41 @@ where
         .collect()
 }
 
-/// Per-kind snapshots of this thread's shared graph (empty when none
-/// exists yet).
+/// Per-kind snapshots of this thread's graph (empty when none exists
+/// yet).
 pub fn thread_graph_stats() -> Vec<KindStats> {
     CURRENT.with(|slot| {
         slot.borrow()
             .as_ref()
-            .map(|(_, _, g)| g.stats())
+            .map(|g| g.stats())
             .unwrap_or_default()
     })
 }
 
-/// Traffic totals of this thread's shared graph (zero when none exists
-/// yet).
+/// Traffic totals of this thread's graph (zero when none exists yet).
 pub fn thread_graph_totals() -> NodeStats {
     CURRENT.with(|slot| {
         slot.borrow()
             .as_ref()
-            .map(|(_, _, g)| g.totals())
+            .map(|g| g.totals())
             .unwrap_or_default()
     })
 }
 
-/// Total memoized results in this thread's shared graph.
+/// Total memoized results in this thread's graph.
 pub fn thread_graph_len() -> usize {
-    CURRENT.with(|slot| slot.borrow().as_ref().map(|(_, _, g)| g.len()).unwrap_or(0))
+    CURRENT.with(|slot| slot.borrow().as_ref().map_or(0, |g| g.len()))
 }
 
-/// [`EstimationGraph::report`] for this thread's shared graph. Replaces
-/// the old `shared_cache_report()`.
+/// [`EstimationGraph::report`] for this thread's graph.
 pub fn graph_report() -> String {
     CURRENT.with(|slot| match &*slot.borrow() {
-        Some((_, _, g)) => g.report(),
+        Some(g) => g.report(),
         None => "estimation graph: unused".into(),
     })
 }
 
-/// Drops this thread's shared graph entirely (nodes and statistics).
+/// Drops this thread's graph entirely (nodes and statistics).
 pub fn reset_thread_graph() {
     CURRENT.with(|slot| *slot.borrow_mut() = None);
 }
@@ -1261,11 +1239,12 @@ mod tests {
         assert_eq!(s.inserts, 1);
         assert_eq!(s.hits, 1);
         assert!(store.report().contains("hit rate"));
-        // The shared value is now in b's local memo too: a second request
-        // is a plain local hit, no store traffic.
+        // A graph with a store memoizes only there: a second request is
+        // another store hit, and nothing is held locally.
         b.evaluate(&node(10e-6)).unwrap();
-        assert_eq!(b.totals().hits, 1);
-        assert_eq!(store.stats().hits, 1);
+        assert_eq!(b.totals().shared_hits, 2);
+        assert_eq!(store.stats().hits, 2);
+        assert_eq!(b.len(), 0);
     }
 
     #[test]
@@ -1330,19 +1309,52 @@ mod tests {
         assert!(s.inserts >= 16);
     }
 
+    /// The thread's slot is reused only for equal inputs: an equal
+    /// technology and an equal-content table find the warm graph, while a
+    /// change to any one of technology, table or store builds a fresh one.
     #[test]
-    fn thread_shared_memo_attaches_to_new_graphs() {
-        reset_thread_graph();
+    fn with_graph_reuses_the_slot_only_for_equal_inputs() {
         let tech = Technology::default_1p2um();
-        let store = Arc::new(SharedMemo::new());
-        set_thread_shared_memo(Some(store.clone()));
-        with_thread_graph(&tech, |g| {
-            assert!(g.shared_memo().is_some());
+        let calib = |label| Arc::new(Calibration::identity(tech.fingerprint(), label));
+        let (cal, store) = (calib("a"), Arc::new(SharedMemo::new()));
+        let mut other_tech = tech.clone();
+        other_tech.vdd += 0.5;
+        let (other_cal, other_store) = (calib("b"), Arc::new(SharedMemo::new()));
+        let requests =
+            |t: &Technology, c: Option<&Arc<Calibration>>, s: Option<&Arc<SharedMemo>>| {
+                with_graph(t, c, s, |g| g.totals().total())
+            };
+        for (t, c, s) in [
+            (&other_tech, Some(&cal), Some(&store)),
+            (&tech, Some(&other_cal), Some(&store)),
+            (&tech, None, Some(&store)),
+            (&tech, Some(&cal), Some(&other_store)),
+            (&tech, Some(&cal), None),
+        ] {
+            reset_thread_graph();
+            with_graph(&tech, Some(&cal), Some(&store), |g| {
+                g.evaluate(&node(10e-6))
+            })
+            .unwrap();
+            assert_eq!(requests(&tech.clone(), Some(&calib("a")), Some(&store)), 1);
+            assert_eq!(
+                requests(t, c, s),
+                0,
+                "a changed input must build a fresh graph"
+            );
+        }
+
+        // A graph with a store memoizes only there: repeats are store
+        // hits, and nothing is held locally.
+        reset_thread_graph();
+        with_graph(&tech, None, Some(&other_store), |g| {
             g.evaluate(&node(10e-6)).unwrap();
+            g.evaluate(&node(10e-6)).unwrap();
+            assert_eq!(g.len(), 0);
+            let t = g.totals();
+            assert_eq!((t.misses, t.shared_hits, t.hits), (1, 1, 0));
         });
-        assert_eq!(store.stats().inserts, 1);
-        assert!(thread_shared_memo().is_some());
-        set_thread_shared_memo(None);
+        // Direct callers name no store, whatever the slot held before.
         with_thread_graph(&tech, |g| assert!(g.shared_memo().is_none()));
         reset_thread_graph();
     }

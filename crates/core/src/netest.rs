@@ -151,6 +151,21 @@ pub fn estimate_netlist(
     tech: &Technology,
     output: NodeId,
 ) -> Result<NetlistEstimate, ApeError> {
+    with_thread_graph(tech, |g| estimate_netlist_in(g, circuit, output))
+}
+
+/// [`estimate_netlist`] in an explicit graph, on its technology and memo
+/// (its store, when it has one). [`estimate_netlist`] is this in the
+/// thread's graph for `tech`.
+///
+/// # Errors
+///
+/// Same as [`estimate_netlist`].
+pub fn estimate_netlist_in(
+    graph: &EstimationGraph,
+    circuit: &Circuit,
+    output: NodeId,
+) -> Result<NetlistEstimate, ApeError> {
     crate::cancel::check_current()?;
     if usize::from(output) >= circuit.num_nodes() {
         return Err(ApeError::BadSpec {
@@ -163,13 +178,11 @@ pub fn estimate_netlist(
         });
     }
     check_netlist_size(circuit)?;
-    let fp = netest_fingerprint(circuit, tech, output);
-    with_thread_graph(tech, |g| {
-        g.evaluate(&NetestNode {
-            circuit,
-            output,
-            fp,
-        })
+    let fp = netest_fingerprint(circuit, graph.technology(), output);
+    graph.evaluate(&NetestNode {
+        circuit,
+        output,
+        fp,
     })
 }
 

@@ -336,9 +336,24 @@ impl OpAmp {
         topology: OpAmpTopology,
         spec: OpAmpSpec,
     ) -> Result<Self, ApeError> {
+        with_thread_graph(tech, |g| Self::design_in(g, topology, spec))
+    }
+
+    /// [`OpAmp::design`] in an explicit graph: the design runs on
+    /// `graph`'s technology, calibration table and memo (its store, when it
+    /// has one). [`OpAmp::design`] is this in the thread's graph for `tech`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`OpAmp::design`].
+    pub fn design_in(
+        graph: &EstimationGraph,
+        topology: OpAmpTopology,
+        spec: OpAmpSpec,
+    ) -> Result<Self, ApeError> {
         // An already-cancelled job must not be answered from the memo.
         crate::cancel::check_current()?;
-        with_thread_graph(tech, |g| g.evaluate(&OpAmpNode { topology, spec }))
+        graph.evaluate(&OpAmpNode { topology, spec })
     }
 
     /// Incrementally re-designs after a spec delta: applies `delta` to
@@ -375,15 +390,8 @@ impl OpAmp {
         Self::design_many_on(ape_exec::Executor::global(), tech, requests)
     }
 
-    /// [`OpAmp::design_many`] on an explicit executor: each request
-    /// becomes one `l3.opamp` subtree evaluated through
-    /// [`evaluate_many`](crate::graph::evaluate_many), so independent
-    /// designs proceed concurrently while sharing subtrees through this
-    /// thread's [`SharedMemo`](crate::graph::SharedMemo) (when one is
-    /// installed). On an `Executor::new(0)` pool this is exactly the
-    /// sequential loop. Each design walks its own overdrive attempts
-    /// lazily on the thread that runs it: batches parallelise across
-    /// designs, never within one.
+    /// [`OpAmp::design_many`] on an explicit executor, in the thread's
+    /// graph for `tech` (see [`OpAmp::design_many_in`]).
     ///
     /// # Errors
     ///
@@ -391,6 +399,28 @@ impl OpAmp {
     pub fn design_many_on(
         exec: &ape_exec::Executor,
         tech: &Technology,
+        requests: &[(OpAmpTopology, OpAmpSpec)],
+    ) -> Vec<Result<Self, ApeError>> {
+        with_thread_graph(tech, |g| Self::design_many_in(exec, g, requests))
+    }
+
+    /// [`OpAmp::design_many_on`] with `graph`'s inputs: each request
+    /// becomes one `l3.opamp` subtree evaluated through
+    /// [`evaluate_many`](crate::graph::evaluate_many), so independent
+    /// designs proceed concurrently, each task in its worker's graph for
+    /// `graph`'s technology, calibration table and store — so designs share
+    /// subtrees through that [`SharedMemo`](crate::graph::SharedMemo) when
+    /// `graph` has one. On an `Executor::new(0)` pool this is exactly the
+    /// sequential loop. Each design walks its own overdrive attempts
+    /// lazily on the thread that runs it: batches parallelise across
+    /// designs, never within one.
+    ///
+    /// # Errors
+    ///
+    /// Per-slot, same as [`OpAmp::design`].
+    pub fn design_many_in(
+        exec: &ape_exec::Executor,
+        graph: &EstimationGraph,
         requests: &[(OpAmpTopology, OpAmpSpec)],
     ) -> Vec<Result<Self, ApeError>> {
         let _span = ape_probe::span("ape.l3.opamp.many");
@@ -401,7 +431,7 @@ impl OpAmp {
             .iter()
             .map(|&(topology, spec)| OpAmpNode { topology, spec })
             .collect();
-        crate::graph::evaluate_many(exec, tech, &nodes)
+        crate::graph::evaluate_many(exec, graph, &nodes)
     }
 
     /// One sizing pass at a fixed signal overdrive — the attempt node's

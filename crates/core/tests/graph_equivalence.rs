@@ -236,42 +236,35 @@ fn l4_modules_warm_equals_cold() {
 /// bit-identical designs to a cold, isolated run.
 #[test]
 fn shared_memo_results_are_bit_identical_to_cold() {
-    use ape_core::graph::{set_thread_shared_memo, SharedMemo};
+    use ape_core::graph::{with_graph, SharedMemo};
     use std::sync::Arc;
 
     let tech = Technology::default_1p2um();
     let store = Arc::new(SharedMemo::new());
-
-    // Publisher thread: designs every topology cold, filling the store.
-    let publisher = {
-        let tech = tech.clone();
-        let store = store.clone();
+    // Designs every topology in this thread's graph over the store, and
+    // reports how many requests the store answered.
+    let design_over_store = |tech: Technology, store: Arc<SharedMemo>| {
         std::thread::spawn(move || {
-            set_thread_shared_memo(Some(store));
-            all_topologies()
-                .into_iter()
-                .map(|t| format!("{:?}", OpAmp::design(&tech, t, spec())))
-                .collect::<Vec<_>>()
+            with_graph(&tech, None, Some(&store), |g| {
+                let rendered = all_topologies()
+                    .into_iter()
+                    .map(|t| format!("{:?}", OpAmp::design_in(g, t, spec())))
+                    .collect::<Vec<_>>();
+                (rendered, g.totals().shared_hits)
+            })
         })
     };
-    let published = publisher.join().expect("publisher thread");
+
+    // Publisher thread: designs every topology cold, filling the store.
+    let (published, _) = design_over_store(tech.clone(), store.clone())
+        .join()
+        .expect("publisher thread");
     assert!(!store.is_empty(), "publisher populated the shared store");
 
     // Reader thread: same designs through the shared store.
-    let reader = {
-        let tech = tech.clone();
-        let store = store.clone();
-        std::thread::spawn(move || {
-            set_thread_shared_memo(Some(store));
-            let rendered = all_topologies()
-                .into_iter()
-                .map(|t| format!("{:?}", OpAmp::design(&tech, t, spec())))
-                .collect::<Vec<_>>();
-            let shared_hits = ape_core::graph::with_thread_graph(&tech, |g| g.totals().shared_hits);
-            (rendered, shared_hits)
-        })
-    };
-    let (read_back, shared_hits) = reader.join().expect("reader thread");
+    let (read_back, shared_hits) = design_over_store(tech.clone(), store.clone())
+        .join()
+        .expect("reader thread");
     assert!(
         shared_hits > 0,
         "reader must have been served from the shared store"
@@ -347,7 +340,7 @@ fn evaluate_many_l1_grid_is_bit_identical_to_sequential() {
     for workers in [1usize, 2, 4, 8] {
         let exec = ape_exec::Executor::new(workers);
         reset_thread_graph();
-        let parallel = evaluate_many(&exec, &tech, &nodes);
+        let parallel = with_thread_graph(&tech, |g| evaluate_many(&exec, g, &nodes));
         reset_thread_graph();
         for (k, (seq, par)) in sequential.iter().zip(&parallel).enumerate() {
             assert_eq!(
@@ -359,15 +352,12 @@ fn evaluate_many_l1_grid_is_bit_identical_to_sequential() {
     }
 }
 
-/// Level-4 modules behind a store warmed *by the executor fan-out*: a
-/// `design_many_on` run publishes its l1/l2/l3 subtrees into a
-/// [`SharedMemo`], and module designs reading through that store must
-/// still match a cold, storeless run bit for bit.
+/// Level-4 modules after an executor fan-out: `design_many_on` enters this
+/// thread's graph and the tasks it help-runs here leave their l1/l2/l3
+/// subtrees in it, and module designs reading that warm graph must still
+/// match a cold run bit for bit.
 #[test]
 fn l4_modules_are_unchanged_by_parallel_warm_up() {
-    use ape_core::graph::{set_thread_shared_memo, SharedMemo};
-    use std::sync::Arc;
-
     type ModuleRender = fn(&Technology) -> String;
     let tech = Technology::default_1p2um();
     let modules: [(&str, ModuleRender); 4] = [
@@ -385,8 +375,7 @@ fn l4_modules_are_unchanged_by_parallel_warm_up() {
         }),
     ];
 
-    // Cold oracle: no store, fresh graph per module.
-    set_thread_shared_memo(None);
+    // Cold oracle: fresh graph per module.
     let cold: Vec<String> = modules
         .iter()
         .map(|(_, build)| {
@@ -395,27 +384,18 @@ fn l4_modules_are_unchanged_by_parallel_warm_up() {
         })
         .collect();
 
-    // Warm the store through the executor: every task publishes its
-    // subtrees, then the module designs read through them.
-    let store = Arc::new(SharedMemo::new());
-    set_thread_shared_memo(Some(store.clone()));
+    // Warm this thread's graph through the executor, then design every
+    // module in it without a reset.
+    reset_thread_graph();
     let requests: Vec<(OpAmpTopology, OpAmpSpec)> =
         all_topologies().into_iter().map(|t| (t, spec())).collect();
     let exec = ape_exec::Executor::new(4);
     let _ = OpAmp::design_many_on(&exec, &tech, &requests);
-    assert!(!store.is_empty(), "fan-out populated the shared store");
-    let warm: Vec<String> = modules
-        .iter()
-        .map(|(_, build)| {
-            reset_thread_graph();
-            build(&tech)
-        })
-        .collect();
-    set_thread_shared_memo(None);
+    let warm: Vec<String> = modules.iter().map(|(_, build)| build(&tech)).collect();
     reset_thread_graph();
 
     for (((name, _), c), w) in modules.iter().zip(&cold).zip(&warm) {
-        assert_eq!(c, w, "{name} diverged behind the executor-warmed store");
+        assert_eq!(c, w, "{name} diverged after the executor warm-up");
     }
 }
 
@@ -553,7 +533,7 @@ fn reregistered_calibration_invalidates_warm_memo() {
 #[test]
 fn calibration_persistence_round_trip_is_bit_identical() {
     use ape_calib::Calibration;
-    use ape_core::graph::{set_thread_calibration, set_thread_shared_memo, SharedMemo};
+    use ape_core::graph::{with_graph, SharedMemo};
     use std::sync::Arc;
 
     let tech = Technology::default_1p2um();
@@ -577,23 +557,21 @@ fn calibration_persistence_round_trip_is_bit_identical() {
     let requests: Vec<(OpAmpTopology, OpAmpSpec)> =
         all_topologies().into_iter().map(|t| (t, spec())).collect();
     let run = |cal: &Arc<Calibration>, workers: usize| -> Vec<String> {
-        set_thread_shared_memo(Some(Arc::new(SharedMemo::new())));
-        set_thread_calibration(Some(cal.clone()));
-        reset_thread_graph();
-        let out = if workers == 0 {
-            requests
-                .iter()
-                .map(|&(t, s)| format!("{:?}", OpAmp::design(&tech, t, s)))
-                .collect()
-        } else {
-            let exec = ape_exec::Executor::new(workers);
-            OpAmp::design_many_on(&exec, &tech, &requests)
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect()
-        };
-        set_thread_calibration(None);
-        set_thread_shared_memo(None);
+        let store = Arc::new(SharedMemo::new());
+        let out = with_graph(&tech, Some(cal), Some(&store), |g| {
+            if workers == 0 {
+                requests
+                    .iter()
+                    .map(|&(t, s)| format!("{:?}", OpAmp::design_in(g, t, s)))
+                    .collect()
+            } else {
+                let exec = ape_exec::Executor::new(workers);
+                OpAmp::design_many_in(&exec, g, &requests)
+                    .iter()
+                    .map(|r| format!("{r:?}"))
+                    .collect()
+            }
+        });
         reset_thread_graph();
         out
     };

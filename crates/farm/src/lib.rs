@@ -18,8 +18,9 @@
 //!   panicking job fails that job, not the farm;
 //! * single-flight deduplication: identical requests that collide in
 //!   flight are computed once. The farm keeps no finished results; repeats
-//!   are answered by the estimation graph's bounded memos (per thread, and
-//!   across threads with [`FarmConfig::shared_graph`]);
+//!   are answered by the estimation graph's bounded memos (each executor
+//!   thread's own, or with [`FarmConfig::shared_graph`] one store across
+//!   threads);
 //! * a sweep driver ([`SweepPlan`]) that expands a parameter grid into
 //!   jobs, reduces the results to an area/power/gain-error Pareto front,
 //!   and streams the lot as deterministic JSON Lines.

@@ -11,8 +11,8 @@ use crate::flight::{Flight, Flights};
 use crate::job::{canonical_key, FarmError, Request, Response};
 use ape_calib::Calibration;
 use ape_core::cancel::{self, CancelToken};
-use ape_core::graph::SharedMemo;
-use ape_core::netest::estimate_netlist;
+use ape_core::graph::{with_graph, EstimationGraph, SharedMemo};
+use ape_core::netest::estimate_netlist_in;
 use ape_core::opamp::OpAmp;
 use ape_mos::fingerprint::Fingerprint;
 use ape_netlist::Technology;
@@ -32,12 +32,12 @@ pub struct FarmConfig {
     /// Per-job deadline; a job still running past it is abandoned at the
     /// estimator's next cancellation checkpoint. `None` = no deadline.
     pub job_timeout: Option<Duration>,
-    /// Attach one [`SharedMemo`] to the estimation graph of every thread
-    /// that runs this farm's jobs (default `false`). Memo keys are bit-exact
-    /// input fingerprints, so the shared store is a pure read-through cache:
-    /// results are identical to isolated per-thread graphs, but a subtree
-    /// computed on one executor thread is served to every other one — the
-    /// pool warms up once instead of once per thread.
+    /// Give the farm one [`SharedMemo`] that its design and netlist jobs
+    /// evaluate over, on whichever executor thread runs them (default
+    /// `false`). Memo keys are bit-exact input fingerprints, so results are
+    /// identical to store-less graphs, but a subtree computed on one
+    /// executor thread is served to every other one — the pool warms up
+    /// once instead of once per thread.
     pub shared_graph: bool,
 }
 
@@ -515,8 +515,7 @@ impl Farm {
     /// An identical request still in flight is shared instead of run
     /// again; the returned handle then waits on the shared flight. The job
     /// always runs on an executor thread, never on the caller, so a
-    /// submission leaves the calling thread's estimation-graph attachments
-    /// untouched.
+    /// submission leaves the calling thread's estimation graph untouched.
     pub fn submit(&self, req: Request) -> JobHandle {
         self.submit_opts(req, SubmitOptions::default())
     }
@@ -686,28 +685,21 @@ impl Drop for Finish<'_> {
 }
 
 /// Executes one admitted job on an executor thread and publishes its
-/// outcome. Executor threads are shared with other farms and clients, so
-/// per-thread state (the estimation graph's shared-memo and calibration
-/// attachments) is asserted per job and left in place afterwards, keeping
-/// the thread's graph warm for the farm's next job.
+/// outcome. The job runs in the thread's graph for its technology, its
+/// calibration table and the farm's store (see [`with_graph`]), so a job
+/// with the same three inputs as the thread's last one reuses its warm
+/// graph.
 fn run_job(shared: &Shared, item: &WorkItem) {
     let mut finish = Finish {
         shared,
         item,
         outcome: None,
     };
-    // Re-installing the attached store (same `Arc`) or a table with the
-    // same content fingerprint changes nothing, so consecutive jobs from
-    // the same farm keep the thread's warm graph and pay nothing; the
-    // calibration fingerprint is also folded into every memo key, so a
-    // stale entry can never answer a calibrated job.
-    ape_core::graph::set_thread_shared_memo(shared.shared_graph.clone());
-    ape_core::graph::set_thread_calibration(item.calib.clone());
     let wait_ns = item.admitted.elapsed().as_nanos() as f64;
     shared.queue_wait_ns.record(wait_ns);
     ape_probe::value("ape.farm.queue.wait_ns", wait_ns);
     let t0 = Instant::now();
-    let result = run_item(item);
+    let result = run_item(item, shared.shared_graph.as_ref());
     let latency_ns = t0.elapsed().as_nanos() as f64;
     shared.job_latency_ns.record(latency_ns);
     ape_probe::value("ape.farm.job.latency_ns", latency_ns);
@@ -745,7 +737,7 @@ fn register<V>(
     Ok(fp)
 }
 
-fn run_item(item: &WorkItem) -> Result<Response, FarmError> {
+fn run_item(item: &WorkItem, store: Option<&Arc<SharedMemo>>) -> Result<Response, FarmError> {
     // Parent the job span under the innermost span that was open on the
     // submitting thread, so a sweep's jobs hang off its request span in
     // the exported trace tree instead of floating as roots.
@@ -754,7 +746,12 @@ fn run_item(item: &WorkItem) -> Result<Response, FarmError> {
         return Err(FarmError::Cancelled);
     }
     let _token_guard = cancel::set_current(item.cancel.clone());
-    match catch_unwind(AssertUnwindSafe(|| execute(&item.tech, &item.req))) {
+    let job = || {
+        with_graph(&item.tech, item.calib.as_ref(), store, |g| {
+            execute(g, &item.req)
+        })
+    };
+    match catch_unwind(AssertUnwindSafe(job)) {
         Ok(result) => result,
         Err(payload) => {
             let msg = payload
@@ -767,14 +764,17 @@ fn run_item(item: &WorkItem) -> Result<Response, FarmError> {
     }
 }
 
-fn execute(tech: &Technology, req: &Request) -> Result<Response, FarmError> {
+/// Runs `req` in `g`. Synthesis and custom jobs are direct callers: they
+/// take `g`'s technology and enter their own graphs.
+fn execute(g: &EstimationGraph, req: &Request) -> Result<Response, FarmError> {
+    let tech = g.technology();
     match req {
         Request::OpAmpDesign { topology, spec } => {
-            let amp = OpAmp::design(tech, *topology, *spec)?;
+            let amp = OpAmp::design_in(g, *topology, *spec)?;
             Ok(Response::OpAmp(Box::new(amp)))
         }
         Request::NetlistEstimate { circuit, output } => {
-            let est = estimate_netlist(circuit, tech, *output)?;
+            let est = estimate_netlist_in(g, circuit, *output)?;
             Ok(Response::Netlist(Box::new(est)))
         }
         Request::Synthesize {
@@ -822,64 +822,5 @@ mod tests {
         assert_eq!(farm.shared.admission.lock().0, 0, "admission leaked");
         assert_eq!(farm.shared.flights.len(), 0, "in-flight map kept entries");
         assert_eq!(farm.stats().executed, 100_000);
-    }
-
-    /// Reports the graph attachments the job ran under.
-    fn attachments(_tech: &Technology) -> Result<Response, FarmError> {
-        Ok(Response::Text(format!(
-            "memo={} calib={}",
-            ape_core::graph::thread_shared_memo().is_some(),
-            ape_core::graph::thread_calibration().is_some()
-        )))
-    }
-
-    /// A job leaves the farm's shared memo and its calibration attached to
-    /// the thread that ran it, so that thread's graph stays warm for the
-    /// farm's next job.
-    #[test]
-    fn a_job_leaves_the_farms_attachments_on_the_thread_that_ran_it() {
-        use ape_core::graph::{thread_calibration, thread_shared_memo};
-        let config = FarmConfig {
-            shared_graph: true,
-            ..FarmConfig::default()
-        };
-        let farm = Farm::new(Technology::default_1p2um(), config);
-        let calib = Arc::new(Calibration::identity(
-            farm.technology().fingerprint(),
-            "attached",
-        ));
-        let (flight, owner) = farm.shared.flights.claim(1);
-        assert!(owner);
-        let item = WorkItem {
-            key: 1,
-            flight: flight.clone(),
-            req: Request::Custom {
-                label: "attachments",
-                nonce: 0,
-                run: attachments,
-            },
-            tech: farm.shared.tech.clone(),
-            calib: Some(calib.clone()),
-            cancel: CancelToken::new(),
-            parent_span: None,
-            admitted: Instant::now(),
-        };
-        farm.shared.admission.admit(false).unwrap();
-        run_job(&farm.shared, &item);
-        match flight.peek() {
-            Some(Ok(Response::Text(t))) => assert_eq!(t, "memo=true calib=true"),
-            other => panic!("job did not publish: {other:?}"),
-        }
-        assert!(Arc::ptr_eq(
-            &thread_shared_memo().unwrap(),
-            farm.shared_memo().unwrap()
-        ));
-        assert_eq!(
-            thread_calibration().map(|c| c.fingerprint()),
-            Some(calib.fingerprint())
-        );
-        ape_core::graph::set_thread_shared_memo(None);
-        ape_core::graph::set_thread_calibration(None);
-        assert_eq!(farm.shared.admission.lock().0, 0);
     }
 }

@@ -3,11 +3,14 @@
 //! Multi-tenant technologies, per-submission options, and the pool-wide
 //! shared estimation graph.
 
+use ape_calib::Calibration;
 use ape_core::basic::MirrorTopology;
 use ape_core::cancel::CancelToken;
+use ape_core::graph::{with_graph, EstimationGraph};
 use ape_core::opamp::{OpAmp, OpAmpSpec, OpAmpTopology};
 use ape_farm::{Farm, FarmConfig, FarmError, Request, SubmitOptions, MAX_REGISTERED};
 use ape_netlist::Technology;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn spec(gain: f64) -> OpAmpSpec {
@@ -199,10 +202,10 @@ fn per_submission_deadline_expires_a_stuck_job() {
 
 /// With the shared graph enabled, a subtree computed on one thread is
 /// served to every other. Checked by construction rather than by
-/// scheduling: after the farm has answered, this thread attaches a fresh
-/// graph to the farm's store and designs a spec the farm already answered.
-/// The local miss must be a shared hit, and every answer must be
-/// bit-identical to a direct design on a cold, isolated graph.
+/// scheduling: after the farm has answered, this thread designs a spec the
+/// farm already answered in a graph over the farm's store. The lookup must
+/// be a store hit, and every answer must be bit-identical to a direct
+/// design on a cold, store-less graph.
 #[test]
 fn shared_graph_skips_redundant_worker_warmup() {
     let config = FarmConfig {
@@ -225,8 +228,7 @@ fn shared_graph_skips_redundant_worker_warmup() {
         .collect();
     assert!(store.stats().inserts > 0);
 
-    // Bit-identical to direct designs on a cold, isolated thread graph.
-    ape_core::graph::set_thread_shared_memo(None);
+    // Bit-identical to direct designs on a cold, store-less thread graph.
     ape_core::graph::reset_thread_graph();
     for (g, farm_result) in gains.iter().zip(&results) {
         let direct = OpAmp::design(
@@ -238,17 +240,17 @@ fn shared_graph_skips_redundant_worker_warmup() {
         assert_eq!(farm_result, &format!("{direct:?}"), "gain {g}");
     }
 
-    // A fresh graph on the farm's store finds the farm's answer there: the
+    // A graph over the farm's store finds the farm's answer there: the
     // top-level lookup hits, so nothing is computed and nothing misses.
-    ape_core::graph::set_thread_shared_memo(Some(store.clone()));
     let before = store.stats();
-    let again = OpAmp::design(
-        farm.technology(),
-        OpAmpTopology::miller(MirrorTopology::Simple, false),
-        spec(gains[0]),
-    )
+    let again = with_graph(farm.technology(), None, Some(&store), |g| {
+        OpAmp::design_in(
+            g,
+            OpAmpTopology::miller(MirrorTopology::Simple, false),
+            spec(gains[0]),
+        )
+    })
     .expect("design through the shared store");
-    ape_core::graph::set_thread_shared_memo(None);
     let after = store.stats();
     assert!(
         after.hits > before.hits && after.misses == before.misses,
@@ -257,6 +259,67 @@ fn shared_graph_skips_redundant_worker_warmup() {
     assert_eq!(format!("{again:?}"), results[0]);
 
     assert!(farm.report().contains("shared memo"));
+}
+
+/// Jobs with different inputs interleave on the executor threads, each in
+/// its thread's graph for its own technology, its own table and the farm's
+/// store: every answer equals a design in a fresh store-less graph built
+/// from that job's inputs.
+#[test]
+fn interleaved_jobs_answer_as_their_own_graphs() {
+    let config = FarmConfig {
+        shared_graph: true,
+        ..FarmConfig::default()
+    };
+    let farm = Farm::new(Technology::default_1p2um(), config);
+    let default = farm.technology().clone();
+    let tenant = Technology::default_0p5um();
+    let tenant_fp = farm.register_technology(tenant.clone()).unwrap();
+    let mut table = Calibration::identity(default.fingerprint(), "interleaved");
+    table.set("l3.opamp", "dc_gain", 1.5, &[]).unwrap();
+    let calib_fp = farm.register_calibration(table.clone()).unwrap();
+    let inputs = [
+        (&default, None, SubmitOptions::default()),
+        (
+            &tenant,
+            None,
+            SubmitOptions {
+                technology: Some(tenant_fp),
+                ..SubmitOptions::default()
+            },
+        ),
+        (
+            &default,
+            Some(Arc::new(table)),
+            SubmitOptions {
+                calibration: Some(calib_fp),
+                ..SubmitOptions::default()
+            },
+        ),
+    ];
+    let jobs: Vec<_> = (0..24)
+        .map(|k| {
+            let gain = 150.0 + 10.0 * (k / 3) as f64;
+            let (tech, calib, opts) = &inputs[k % 3];
+            let handle = farm.submit_opts(design(gain), opts.clone());
+            (k, gain, *tech, calib, handle)
+        })
+        .collect();
+    for (k, gain, tech, calib, handle) in jobs {
+        let graph = EstimationGraph::new(tech, None, calib.clone());
+        let own = OpAmp::design_in(
+            &graph,
+            OpAmpTopology::miller(MirrorTopology::Simple, false),
+            spec(gain),
+        )
+        .expect("design in the job's own graph");
+        let answer = handle.wait().expect("farm design");
+        assert_eq!(
+            format!("{:?}", answer.as_opamp().unwrap()),
+            format!("{own:?}"),
+            "job {k}"
+        );
+    }
 }
 
 #[test]

@@ -1,20 +1,14 @@
-//! Shared fingerprint and quantisation helpers for content-addressed
-//! memoization.
+//! Shared fingerprint helper for content-addressed memoization.
 //!
-//! Two subsystems used to build cache keys independently: the level-1
-//! sizing cache in `ape-core` (quantised `f64` buckets hashed ad hoc) and
-//! the farm's content-addressed job keys (`DefaultHasher` over request
-//! payloads). This module is the single shared encoding both now use, so a
-//! key built in one crate is bit-for-bit the key built in the other for
-//! the same logical inputs.
+//! The estimation graph's memo keys and the farm's content-addressed job
+//! keys both use this one encoding, so a key built in one crate is
+//! bit-for-bit the key built in the other for the same logical inputs.
 //!
 //! [`Fingerprint`] is a tiny FNV-1a builder over explicitly-typed tokens.
 //! Every `f64` is folded in **bit-exactly** via [`f64::to_bits`]: two
 //! inputs collide only when they are the same IEEE-754 value, which is
 //! what makes graph memo lookups history-independent (a warm lookup
-//! returns exactly what a cold recompute would produce). The legacy
-//! bucketing scheme survives as [`quant`] for callers that want nearby
-//! values to share an entry.
+//! returns exactly what a cold recompute would produce).
 
 /// Incremental FNV-1a (64-bit) fingerprint builder.
 ///
@@ -96,24 +90,6 @@ impl Default for Fingerprint {
     }
 }
 
-/// Quantises an operating-point value into a coarse bucket (~0.1 %
-/// relative width) by truncating the IEEE-754 mantissa.
-///
-/// This is the legacy sizing-cache bucketing: dropping the low 42 bits of
-/// the `f64` representation keeps the sign, the exponent, and the top ten
-/// mantissa bits, so values within about a part in a thousand land in the
-/// same bucket. The estimation graph itself keys bit-exactly (see
-/// [`Fingerprint::f64`]); `quant` is for callers that deliberately trade
-/// precision for hit rate, such as coarse design-space binning.
-#[must_use]
-pub fn quant(x: f64) -> u64 {
-    if x == 0.0 {
-        0
-    } else {
-        x.to_bits() >> 42
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,13 +123,5 @@ mod tests {
         let a = Fingerprint::new().str("ab").str("c").finish();
         let b = Fingerprint::new().str("a").str("bc").finish();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn quant_buckets_nearby_values_and_separates_far_ones() {
-        assert_eq!(quant(0.0), 0);
-        assert_eq!(quant(10e-6), quant(10e-6 * (1.0 + 1e-5)));
-        assert_ne!(quant(10e-6), quant(11e-6));
-        assert_ne!(quant(10e-6), quant(-10e-6));
     }
 }

@@ -16,6 +16,7 @@ use crate::audit::audit_candidate;
 use crate::error::OblxError;
 use crate::vars::design_point_from_ape;
 use ape_calib::{Calibration, Sample};
+use ape_core::graph::with_graph;
 use ape_core::opamp::{OpAmp, OpAmpSpec, OpAmpTopology};
 use ape_core::Performance;
 use ape_netlist::Technology;
@@ -67,13 +68,12 @@ fn opamp_samples(est: &Performance, sim: &Performance) -> Vec<Sample> {
 /// Fits an `l3.opamp` calibration table for `tech` from a workload of
 /// op-amp specifications.
 ///
-/// Each spec is sized by APE *uncalibrated* (any thread calibration is
-/// suspended for the duration, so fitting is independent of whatever
-/// table happens to be installed), audited with the full simulator, and
-/// the pooled est/sim ratios per metric are fitted with the minimax
-/// constant-factor rule of [`ape_calib::fit`]. Specs whose sizing or
-/// audit fails are skipped — the paper's "doesn't work" rows carry no
-/// anchor information.
+/// Each spec is sized by APE *uncalibrated* (in a graph that names no
+/// table, so fitting is independent of whatever table the thread has
+/// installed), audited with the full simulator, and the pooled est/sim
+/// ratios per metric are fitted with the minimax constant-factor rule of
+/// [`ape_calib::fit`]. Specs whose sizing or audit fails are skipped —
+/// the paper's "doesn't work" rows carry no anchor information.
 ///
 /// # Errors
 ///
@@ -88,22 +88,11 @@ pub fn fit_opamp_calibration(
 ) -> Result<Calibration, OblxError> {
     let _span = ape_probe::span("oblx.calibrate.fit");
     // Fit from raw estimates: corrections compose multiplicatively, so
-    // fitting on top of an installed table would double-apply.
-    let prev = ape_core::graph::thread_calibration();
-    ape_core::graph::set_thread_calibration(None);
-    let result = fit_uncalibrated(tech, workload, label);
-    ape_core::graph::set_thread_calibration(prev);
-    result
-}
-
-fn fit_uncalibrated(
-    tech: &Technology,
-    workload: &[(OpAmpTopology, OpAmpSpec)],
-    label: &str,
-) -> Result<Calibration, OblxError> {
-    // Size the whole workload first — designs fan out over the executor
-    // and share subtrees through the thread graph.
-    let designs = OpAmp::design_many(tech, workload);
+    // fitting on top of an installed table would double-apply. Size the
+    // whole workload first — designs fan out over the executor.
+    let designs = with_graph(tech, None, None, |g| {
+        OpAmp::design_many_in(ape_exec::Executor::global(), g, workload)
+    });
     // Audit the successful sizings. `audit_candidate` checks the
     // cancellation token itself; a cancelled slot aborts the fit.
     let mut samples: Vec<Sample> = Vec::new();

@@ -155,13 +155,14 @@ struct CandidateNode<'a> {
 }
 
 impl CandidateNode<'_> {
-    /// Evaluates through the thread's estimation graph.
-    fn evaluate(&self, tech: &Technology) -> CandidateEval {
+    /// Evaluates in `graph`.
+    fn evaluate_in(&self, graph: &EstimationGraph) -> CandidateEval {
         match self.fidelity {
             EvalFidelity::AweOnly => ape_probe::counter("oblx.cost_evals.awe", 1),
             EvalFidelity::Exact => ape_probe::counter("oblx.cost_evals.exact", 1),
         }
-        with_thread_graph(tech, |g| g.evaluate(self)).unwrap_or_else(|_| {
+        graph.evaluate(self).unwrap_or_else(|_| {
+            let tech = graph.technology();
             let nodeset = self
                 .start
                 .and_then(|start| start_nodeset(tech, self.topology, self.spec, start));
@@ -237,14 +238,14 @@ pub fn evaluate_candidate_with(
     point: &DesignPoint,
     fidelity: EvalFidelity,
 ) -> CandidateEval {
-    CandidateNode {
+    let node = CandidateNode {
         topology,
         spec,
         point,
         fidelity,
         start: None,
-    }
-    .evaluate(tech)
+    };
+    with_thread_graph(tech, |g| node.evaluate_in(g))
 }
 
 /// [`evaluate_candidate_with`] for a synthesis run that starts at `start`:
@@ -252,8 +253,9 @@ pub fn evaluate_candidate_with(
 /// operating point ([`start_nodeset`], memoized as an `oblx.start_op`
 /// node), and the memo key adds `start` to the inputs. The answer is a
 /// pure function of those inputs, never of the previous candidate.
+/// Evaluated in `graph`, on its technology and memo.
 pub(crate) fn evaluate_candidate_from(
-    tech: &Technology,
+    graph: &EstimationGraph,
     topology: OpAmpTopology,
     spec: &OpAmpSpec,
     point: &DesignPoint,
@@ -267,7 +269,7 @@ pub(crate) fn evaluate_candidate_from(
         fidelity,
         start: Some(start),
     }
-    .evaluate(tech)
+    .evaluate_in(graph)
 }
 
 /// The `oblx.candidate` node's compute body: runs on a memo miss, with the

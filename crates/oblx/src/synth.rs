@@ -6,7 +6,9 @@ use crate::cost::{cost, CostWeights, TARGET_COST};
 use crate::error::OblxError;
 use crate::eval::{evaluate_candidate_from, EvalFidelity};
 use crate::vars::{blind_center, blind_ranges, seeded_ranges, DesignPoint};
-use ape_core::graph::{set_thread_shared_memo, thread_shared_memo, SharedMemo};
+use ape_core::graph::{
+    thread_calibration, with_graph, with_thread_graph, EstimationGraph, SharedMemo,
+};
 use ape_core::opamp::{OpAmpSpec, OpAmpTopology};
 use ape_netlist::Technology;
 use ape_solve::{
@@ -180,21 +182,21 @@ fn prepare(
     }
 }
 
-/// The annealing cost of a log-space candidate: a DC solve plus AWE at
-/// `opts.fidelity`, graded against `spec`. Every engine minimises this.
-/// Each DC solve starts from the operating point of the run's `start`,
-/// so the cost is a pure function of the run's inputs and the candidate.
+/// The annealing cost of a log-space candidate, evaluated in the graph it
+/// is handed: a DC solve plus AWE at `opts.fidelity`, graded against
+/// `spec`. Every engine minimises this. Each DC solve starts from the
+/// operating point of the run's `start`, so the cost is a pure function
+/// of the run's inputs and the candidate.
 fn candidate_cost<'a>(
-    tech: &'a Technology,
     topology: OpAmpTopology,
     spec: &'a OpAmpSpec,
     opts: &'a SynthesisOptions,
     start: &'a DesignPoint,
-) -> impl Fn(&[f64]) -> f64 + Sync + 'a {
-    move |s: &[f64]| {
+) -> impl Fn(&EstimationGraph, &[f64]) -> f64 + Sync + 'a {
+    move |g: &EstimationGraph, s: &[f64]| {
         let p = DesignPoint::from_log(s);
-        let e = evaluate_candidate_from(tech, topology, spec, &p, opts.fidelity, start);
-        cost(&e, spec, tech.vdd, &opts.weights)
+        let e = evaluate_candidate_from(g, topology, spec, &p, opts.fidelity, start);
+        cost(&e, spec, g.technology().vdd, &opts.weights)
     }
 }
 
@@ -260,8 +262,9 @@ pub fn synthesize(
     let (ranges, start) = prepare(topology, spec, init)?;
     let start_point = DesignPoint::from_log(&start);
     // The single engines evaluate sequentially on this thread, so the cost
-    // runs against the caller's own graph and memo attachment.
-    let cost_fn = candidate_cost(tech, topology, spec, opts, &start_point);
+    // runs in the caller's own thread graph.
+    let eval = candidate_cost(topology, spec, opts, &start_point);
+    let cost_fn = |s: &[f64]| with_thread_graph(tech, |g| eval(g, s));
     let problem = Problem::new(&ranges, &cost_fn)
         .with_target(TARGET_COST)
         .with_start(start);
@@ -306,18 +309,12 @@ pub fn synthesize_portfolio(
     let (ranges, start) = prepare(topology, spec, init)?;
     let start_point = DesignPoint::from_log(&start);
     // Members run on executor workers and inline on this thread; each cost
-    // call attaches the run's store so they share one memo. Share the
-    // caller's store if one is attached (a farm worker's cross-job cache),
-    // and put the caller's attachment back after the race.
-    let caller_memo = thread_shared_memo();
-    let memo = caller_memo
-        .clone()
-        .unwrap_or_else(|| Arc::new(SharedMemo::new()));
-    let eval = candidate_cost(tech, topology, spec, opts, &start_point);
-    let cost_fn = move |s: &[f64]| {
-        set_thread_shared_memo(Some(memo.clone()));
-        eval(s)
-    };
+    // call evaluates in its thread's graph over the race's store (with the
+    // caller's calibration table), so the members share one memo.
+    let calib = thread_calibration();
+    let race_store = Arc::new(SharedMemo::new());
+    let eval = candidate_cost(topology, spec, opts, &start_point);
+    let cost_fn = |s: &[f64]| with_graph(tech, calib.as_ref(), Some(&race_store), |g| eval(g, s));
     let problem = Problem::new(&ranges, &cost_fn)
         .with_target(TARGET_COST)
         .with_start(start);
@@ -326,7 +323,6 @@ pub fn synthesize_portfolio(
         &budget(opts),
         ape_exec::Executor::global(),
     );
-    set_thread_shared_memo(caller_memo);
     if ape_core::cancel::current_cancelled() {
         return Err(OblxError::Cancelled);
     }
@@ -479,44 +475,6 @@ mod tests {
         }
     }
 
-    /// A run must leave the caller's store attachment as it found it,
-    /// whichever engine runs and whether or not a store was attached.
-    #[test]
-    fn synthesis_keeps_the_callers_store_attachment() {
-        use ape_core::graph::set_thread_shared_memo;
-        let tech = Technology::default_1p2um();
-        let store = Arc::new(SharedMemo::new());
-        for solver in [
-            SolverChoice::Sa,
-            SolverChoice::CmaEs,
-            SolverChoice::ParticleSwarm,
-            SolverChoice::NewtonPolish,
-            SolverChoice::Portfolio,
-        ] {
-            for attached in [None, Some(store.clone())] {
-                set_thread_shared_memo(attached.clone());
-                let opts = SynthesisOptions {
-                    max_evals: 30,
-                    moves_per_temp: 10,
-                    solver,
-                    ..SynthesisOptions::default()
-                };
-                synthesize(&tech, topo(), &spec(), &InitialPoint::Blind, &opts).unwrap();
-                let same = match (&attached, thread_shared_memo()) {
-                    (None, None) => true,
-                    (Some(a), Some(b)) => Arc::ptr_eq(a, &b),
-                    _ => false,
-                };
-                assert!(
-                    same,
-                    "{solver:?} changed the attachment (store attached before: {})",
-                    attached.is_some()
-                );
-            }
-        }
-        set_thread_shared_memo(None);
-    }
-
     #[test]
     fn bad_spec_rejected() {
         let tech = Technology::default_1p2um();
@@ -552,7 +510,8 @@ mod tests {
         let (ranges, start) = prepare(topo(), &spec(), &InitialPoint::Blind).unwrap();
         let spec_c = spec();
         let start_point = DesignPoint::from_log(&start);
-        let seeded_cost = candidate_cost(&tech, topo(), &spec_c, &opts, &start_point);
+        let eval = candidate_cost(topo(), &spec_c, &opts, &start_point);
+        let seeded_cost = |s: &[f64]| with_thread_graph(&tech, |g| eval(g, s));
         let initial_cost = seeded_cost(&start);
         let anneal_opts = AnnealOptions {
             schedule: Schedule::Geometric {

@@ -335,9 +335,9 @@ impl<'p, 'a, 'o> Run<'p, 'a, 'o> {
 /// pool runs the fan-out inline in input order).
 ///
 /// The fan-out mirrors `ape_core::graph::evaluate_many`: each task
-/// carries the submitting thread's cancellation token; memo attachment is
-/// the cost closure's own business (the `oblx` closure re-installs its
-/// shared store on whichever worker runs it).
+/// carries the submitting thread's cancellation token; which graph a cost
+/// evaluates in is the cost closure's own business (the `oblx` portfolio
+/// closure names its race's store on whichever worker runs it).
 pub(crate) fn eval_generation(
     run: &mut Run<'_, '_, '_>,
     points: &[Vec<f64>],

@@ -7,12 +7,12 @@
 //! socket in front of the library.
 //!
 //! The shared-store check is by construction, not by scheduling: after the
-//! daemon has answered, the test thread attaches a fresh graph to the
-//! daemon's store and designs a spec the daemon already answered. Which
-//! executor thread ran which request never matters.
+//! daemon has answered, the test thread designs a spec the daemon already
+//! answered in a graph over the daemon's store. Which executor thread ran
+//! which request never matters.
 
 use ape_repro::ape::basic::MirrorTopology;
-use ape_repro::ape::graph::set_thread_shared_memo;
+use ape_repro::ape::graph::with_graph;
 use ape_repro::ape::opamp::{OpAmp, OpAmpSpec, OpAmpTopology};
 use ape_repro::netlist::Technology;
 use ape_repro::serve::json::{n, obj, s, Value};
@@ -85,10 +85,10 @@ fn daemon_results_are_bit_identical_and_shared_across_connections() {
         );
     }
 
-    // The daemon's answers are in its shared store: a fresh graph on this
-    // thread, attached to the store, is served the first request from
-    // there — the top-level lookup hits, so nothing is computed and
-    // nothing misses — bit-identical to the wire answer.
+    // The daemon's answers are in its shared store: a graph on this
+    // thread over that store is served the first request from there — the
+    // top-level lookup hits, so nothing is computed and nothing misses —
+    // bit-identical to the wire answer.
     let store = handle
         .state()
         .farm()
@@ -96,10 +96,11 @@ fn daemon_results_are_bit_identical_and_shared_across_connections() {
         .expect("shared graph enabled")
         .clone();
     let before = store.stats();
-    set_thread_shared_memo(Some(store.clone()));
     let (gain, cl, value) = &wire[0];
-    let again = OpAmp::design(&tech, topo, spec(*gain, *cl)).expect("design via the store");
-    set_thread_shared_memo(None);
+    let again = with_graph(&tech, None, Some(&store), |g| {
+        OpAmp::design_in(g, topo, spec(*gain, *cl))
+    })
+    .expect("design via the store");
     let after = store.stats();
     assert!(
         after.hits > before.hits && after.misses == before.misses,
