@@ -51,8 +51,11 @@
 //! reuse each other's subtrees. Direct callers enter it through
 //! [`with_thread_graph`], which names the thread's calibration table (see
 //! [`set_thread_calibration`]) and no store; `ape-farm` names each job's
-//! technology and table and, when `FarmConfig::shared_graph` is set, the
-//! farm's store.
+//! technology and table and the farm's own store (`FarmConfig::shared_graph`,
+//! on by default), so a farm's jobs memoize in the farm and leave the
+//! executor threads' store-less graphs empty. Callers that enter once per
+//! job or candidate hash their card once and enter through
+//! [`with_graph_fp`].
 //!
 //! A graph memoizes in one place: in its [`SharedMemo`] when it has one,
 //! in its own per-kind memo otherwise. A store is a process-wide, sharded
@@ -419,10 +422,11 @@ impl SharedMemo {
         }
     }
 
-    /// Drops every entry (statistics are kept).
+    /// Drops every entry and frees the shards' tables (statistics are
+    /// kept).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().unwrap_or_else(|e| e.into_inner()).clear();
+            *shard.lock().unwrap_or_else(|e| e.into_inner()) = HashMap::new();
         }
     }
 
@@ -491,9 +495,19 @@ impl EstimationGraph {
         shared: Option<Arc<SharedMemo>>,
         calib: Option<Arc<Calibration>>,
     ) -> Self {
+        Self::with_fingerprint(tech, tech.fingerprint(), shared, calib)
+    }
+
+    /// [`EstimationGraph::new`] with `tech`'s fingerprint already known.
+    fn with_fingerprint(
+        tech: &Technology,
+        tech_fp: u64,
+        shared: Option<Arc<SharedMemo>>,
+        calib: Option<Arc<Calibration>>,
+    ) -> Self {
         EstimationGraph {
             tech: tech.clone(),
-            tech_fp: tech.fingerprint(),
+            tech_fp,
             kinds: RefCell::new(BTreeMap::new()),
             shared,
             calib_fp: calib.as_ref().map_or(0, |c| c.fingerprint()),
@@ -796,7 +810,21 @@ pub fn with_graph<R>(
     store: Option<&Arc<SharedMemo>>,
     f: impl FnOnce(&EstimationGraph) -> R,
 ) -> R {
-    let tech_fp = tech.fingerprint();
+    with_graph_fp(tech, tech.fingerprint(), calib, store, f)
+}
+
+/// [`with_graph`] for a caller that already holds `tech_fp`, which must be
+/// `tech.fingerprint()`. Hashing a card walks every model parameter, so a
+/// caller that enters the graph once per job or per candidate (a farm, a
+/// synthesis run) hashes its card once and passes the fingerprint here.
+pub fn with_graph_fp<R>(
+    tech: &Technology,
+    tech_fp: u64,
+    calib: Option<&Arc<Calibration>>,
+    store: Option<&Arc<SharedMemo>>,
+    f: impl FnOnce(&EstimationGraph) -> R,
+) -> R {
+    debug_assert_eq!(tech_fp, tech.fingerprint(), "stale technology fingerprint");
     let calib_fp = calib.map_or(0, |c| c.fingerprint());
     let graph = CURRENT.with(|slot| {
         let mut slot = slot.borrow_mut();
@@ -809,7 +837,12 @@ pub fn with_graph<R>(
                 Rc::clone(g)
             }
             _ => {
-                let g = Rc::new(EstimationGraph::new(tech, store.cloned(), calib.cloned()));
+                let g = Rc::new(EstimationGraph::with_fingerprint(
+                    tech,
+                    tech_fp,
+                    store.cloned(),
+                    calib.cloned(),
+                ));
                 *slot = Some(Rc::clone(&g));
                 g
             }

@@ -137,13 +137,23 @@ impl ScopeCore {
 struct Inner {
     deques: Vec<Mutex<VecDeque<Ticket>>>,
     injector: Mutex<VecDeque<Ticket>>,
+    gate: Mutex<Gate>,
+    gate_cond: Condvar,
+    shutdown: AtomicBool,
+}
+
+/// The workers' parking state, guarded by `Inner::gate`.
+#[derive(Default)]
+struct Gate {
     /// Unclaimed wake tokens: one is minted per posted ticket, consumed
     /// by a worker leaving the parked state. Tokens may outnumber real
     /// work (a scanning worker can grab a ticket without paying a
     /// token), which costs a spurious wake, never a lost one.
-    gate: Mutex<u64>,
-    gate_cond: Condvar,
-    shutdown: AtomicBool,
+    tokens: u64,
+    /// Workers waiting on `gate_cond`. A post notifies only when this is
+    /// non-zero: a worker counts itself under the gate lock before it
+    /// waits, so a post that reads 0 is one no worker is waiting for.
+    parked: usize,
 }
 
 thread_local! {
@@ -154,7 +164,7 @@ thread_local! {
 impl Inner {
     /// Queues a ticket — on the current worker's own deque when the
     /// caller is one of this executor's workers, else on the injector —
-    /// and mints a wake token.
+    /// mints a wake token, and wakes a worker if one is parked.
     fn post(&self, ticket: Ticket) {
         let me = WORKER.with(Cell::get);
         match me {
@@ -163,9 +173,11 @@ impl Inner {
             }
             _ => lock(&self.injector).push_back(ticket),
         }
-        let mut tokens = lock(&self.gate);
-        *tokens += 1;
-        self.gate_cond.notify_one();
+        let mut gate = lock(&self.gate);
+        gate.tokens += 1;
+        if gate.parked > 0 {
+            self.gate_cond.notify_one();
+        }
     }
 
     /// Own deque from the back, injector from the front, then steal from
@@ -214,21 +226,23 @@ fn worker_loop(inner: &Arc<Inner>, idx: usize) {
             inner.run_ticket(t);
             continue;
         }
-        let mut tokens = lock(&inner.gate);
+        let mut gate = lock(&inner.gate);
         loop {
             if inner.shutdown.load(Ordering::Acquire) {
-                drop(tokens);
+                drop(gate);
                 // Drain stragglers so in-flight scopes can complete.
                 while let Some(t) = inner.find_work(idx) {
                     inner.run_ticket(t);
                 }
                 return;
             }
-            if *tokens > 0 {
-                *tokens -= 1;
+            if gate.tokens > 0 {
+                gate.tokens -= 1;
                 break;
             }
-            tokens = wait(&inner.gate_cond, tokens);
+            gate.parked += 1;
+            gate = wait(&inner.gate_cond, gate);
+            gate.parked -= 1;
         }
     }
 }
@@ -253,7 +267,7 @@ impl Executor {
         let inner = Arc::new(Inner {
             deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             injector: Mutex::new(VecDeque::new()),
-            gate: Mutex::new(0),
+            gate: Mutex::new(Gate::default()),
             gate_cond: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
@@ -545,6 +559,60 @@ mod tests {
             );
             thread::yield_now();
         }
+    }
+
+    /// A post notifies only when a worker is parked, so a worker parking
+    /// just as a ticket arrives must still be woken. Posters on several
+    /// threads feed two workers in rounds and wait for each round's jobs
+    /// to run, pausing now and then so the workers alternate between busy
+    /// and parked; every round finishes before the deadline.
+    #[test]
+    fn no_wake_up_is_lost_while_workers_park_and_unpark() {
+        const POSTERS: u64 = 4;
+        const ROUNDS: u64 = 400;
+        let exec = Executor::new(2);
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let posted: u64 = thread::scope(|s| {
+            let posters: Vec<_> = (0..POSTERS)
+                .map(|p| {
+                    let exec = &exec;
+                    s.spawn(move || {
+                        let done = Arc::new(AtomicU64::new(0));
+                        let mut posted = 0;
+                        for round in 0..ROUNDS {
+                            let burst = 1 + (round * 7 + p * 13) % 64;
+                            for j in 0..burst {
+                                let done = Arc::clone(&done);
+                                exec.spawn(move || {
+                                    if j % 8 == 0 {
+                                        let t0 = std::time::Instant::now();
+                                        while t0.elapsed() < Duration::from_micros(20) {
+                                            std::hint::spin_loop();
+                                        }
+                                    }
+                                    done.fetch_add(1, Ordering::Release);
+                                });
+                            }
+                            posted += burst;
+                            while done.load(Ordering::Acquire) < posted {
+                                assert!(
+                                    std::time::Instant::now() < deadline,
+                                    "poster {p} round {round}: {} of {posted} jobs ran",
+                                    done.load(Ordering::Acquire)
+                                );
+                                thread::yield_now();
+                            }
+                            if round % 16 == 0 {
+                                thread::sleep(Duration::from_micros(200));
+                            }
+                        }
+                        posted
+                    })
+                })
+                .collect();
+            posters.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert!(posted > 10_000, "{posted} jobs");
     }
 
     #[test]

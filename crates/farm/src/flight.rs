@@ -16,45 +16,66 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 type Outcome = Result<Response, FarmError>;
 
 /// One computation's result slot and the condvar its waiters sleep on, so
-/// a publish wakes only the waiters of that flight.
+/// a publish wakes only the waiters of that flight, and only when there
+/// are any.
 #[derive(Debug, Default)]
 pub(crate) struct Flight {
-    result: Mutex<Option<Outcome>>,
+    slot: Mutex<Slot>,
     done: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Slot {
+    outcome: Option<Outcome>,
+    /// Threads waiting on `done`. A waiter counts itself under the slot
+    /// lock before it sleeps, so a publish that reads 0 has no one to
+    /// wake and skips the notify.
+    sleepers: usize,
 }
 
 impl Flight {
     /// A flight born finished, for submissions rejected before they run.
     pub(crate) fn resolved(outcome: Outcome) -> Arc<Flight> {
         Arc::new(Flight {
-            result: Mutex::new(Some(outcome)),
+            slot: Mutex::new(Slot {
+                outcome: Some(outcome),
+                sleepers: 0,
+            }),
             done: Condvar::new(),
         })
     }
 
-    fn slot(&self) -> MutexGuard<'_, Option<Outcome>> {
-        self.result.lock().unwrap_or_else(|e| e.into_inner())
+    fn slot(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn set(&self, outcome: Outcome) {
-        *self.slot() = Some(outcome);
-        self.done.notify_all();
+        let sleepers = {
+            let mut slot = self.slot();
+            slot.outcome = Some(outcome);
+            slot.sleepers
+        };
+        if sleepers > 0 {
+            self.done.notify_all();
+        }
     }
 
     /// Blocks until the flight has a result and returns a clone of it.
     pub(crate) fn wait(&self) -> Outcome {
         let mut slot = self.slot();
         loop {
-            if let Some(outcome) = &*slot {
+            if let Some(outcome) = &slot.outcome {
                 return outcome.clone();
             }
+            slot.sleepers += 1;
             slot = self.done.wait(slot).unwrap_or_else(|e| e.into_inner());
+            slot.sleepers -= 1;
         }
     }
 
     /// Non-blocking peek at the result.
     pub(crate) fn peek(&self) -> Option<Outcome> {
-        self.slot().clone()
+        self.slot().outcome.clone()
     }
 }
 
@@ -111,6 +132,40 @@ mod tests {
         assert!(matches!(joined.wait(), Ok(Response::Text(s)) if s == "done"));
         assert_eq!(flights.len(), 0);
         assert!(flights.claim(7).1, "a finished key is claimed afresh");
+    }
+
+    /// A publish notifies only when a waiter sleeps, so a waiter arriving
+    /// just as the result lands must still return: 10 000 publishes race a
+    /// waiter's arrival, and every wait returns.
+    #[test]
+    fn a_publish_racing_a_waiter_never_strands_it() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (to_waiter, arrivals) = mpsc::channel::<Arc<Flight>>();
+        let (returned, waits) = mpsc::channel::<usize>();
+        let waiter = thread::spawn(move || {
+            for (k, flight) in arrivals.iter().enumerate() {
+                assert!(flight.wait().is_ok());
+                returned.send(k).unwrap();
+            }
+        });
+        let flights = Flights::default();
+        for k in 0..10_000u64 {
+            let (flight, _) = flights.claim(k);
+            to_waiter.send(flight.clone()).unwrap();
+            // Vary which side usually wins the race.
+            for _ in 0..k % 4 {
+                thread::yield_now();
+            }
+            flights.publish(k, &flight, Ok(Response::Text(String::new())));
+            assert_eq!(
+                waits.recv_timeout(Duration::from_secs(10)),
+                Ok(k as usize),
+                "the waiter on flight {k} never returned"
+            );
+        }
+        drop(to_waiter);
+        waiter.join().unwrap();
     }
 
     #[test]

@@ -207,7 +207,13 @@ impl From<OblxError> for FarmError {
 /// and `SynthesisOptions` are hashed through their `Debug` rendering,
 /// which is exact for this crate's field types.
 pub fn canonical_key(tech: &Technology, req: &Request) -> u64 {
-    let fp = Fingerprint::new().u64(tech.fingerprint());
+    canonical_key_fp(tech, tech.fingerprint(), req)
+}
+
+/// [`canonical_key`] for a caller that already holds `tech_fp`, which must
+/// be `tech.fingerprint()`: the farm hashes each card once, not per job.
+pub(crate) fn canonical_key_fp(tech: &Technology, tech_fp: u64, req: &Request) -> u64 {
+    let fp = Fingerprint::new().u64(tech_fp);
     match req {
         Request::OpAmpDesign { topology, spec } => spec
             .fold_fingerprint(topology.fold_fingerprint(fp.u8(0)))

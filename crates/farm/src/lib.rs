@@ -18,9 +18,10 @@
 //!   panicking job fails that job, not the farm;
 //! * single-flight deduplication: identical requests that collide in
 //!   flight are computed once. The farm keeps no finished results; repeats
-//!   are answered by the estimation graph's bounded memos (each executor
-//!   thread's own, or with [`FarmConfig::shared_graph`] one store across
-//!   threads);
+//!   are answered by the estimation graph's bounded memos. By default
+//!   ([`FarmConfig::shared_graph`]) that memo is one store the farm owns
+//!   across all executor threads, emptied when the farm is dropped, so
+//!   reuse across sweeps needs one resident farm;
 //! * a sweep driver ([`SweepPlan`]) that expands a parameter grid into
 //!   jobs, reduces the results to an area/power/gain-error Pareto front,
 //!   and streams the lot as deterministic JSON Lines.

@@ -8,10 +8,10 @@
 //! instead of running a competing pool.
 
 use crate::flight::{Flight, Flights};
-use crate::job::{canonical_key, FarmError, Request, Response};
+use crate::job::{canonical_key_fp, FarmError, Request, Response};
 use ape_calib::Calibration;
 use ape_core::cancel::{self, CancelToken};
-use ape_core::graph::{with_graph, EstimationGraph, SharedMemo};
+use ape_core::graph::{with_graph_fp, EstimationGraph, SharedMemo};
 use ape_core::netest::estimate_netlist_in;
 use ape_core::opamp::OpAmp;
 use ape_mos::fingerprint::Fingerprint;
@@ -34,10 +34,18 @@ pub struct FarmConfig {
     pub job_timeout: Option<Duration>,
     /// Give the farm one [`SharedMemo`] that its design and netlist jobs
     /// evaluate over, on whichever executor thread runs them (default
-    /// `false`). Memo keys are bit-exact input fingerprints, so results are
-    /// identical to store-less graphs, but a subtree computed on one
-    /// executor thread is served to every other one — the pool warms up
-    /// once instead of once per thread.
+    /// `true`). The store is the farm's only memo for those jobs, and
+    /// nothing is left in the executor threads' own graphs. Dropping the
+    /// farm empties the store, so its entries are freed with the farm; a
+    /// worker that ran one of its jobs keeps only the empty store until it
+    /// next enters a graph with other inputs. Memo keys are bit-exact
+    /// input fingerprints, so results are identical to store-less graphs,
+    /// and a subtree computed on one executor thread is served to every
+    /// other one. Reuse therefore lives with the farm: keep one farm to
+    /// reuse results across sweeps.
+    ///
+    /// `false` memoizes in each executor thread's own bounded graph
+    /// instead, which outlives the farm.
     pub shared_graph: bool,
 }
 
@@ -46,7 +54,7 @@ impl Default for FarmConfig {
         FarmConfig {
             queue_capacity: 256,
             job_timeout: None,
-            shared_graph: false,
+            shared_graph: true,
         }
     }
 }
@@ -129,6 +137,9 @@ struct WorkItem {
     flight: Arc<Flight>,
     req: Request,
     tech: Arc<Technology>,
+    /// `tech.fingerprint()`, computed once per card when the farm learns
+    /// it, so no job re-hashes the card.
+    tech_fp: u64,
     /// Calibration table the job's estimates run under (`None` = raw).
     calib: Option<Arc<Calibration>>,
     cancel: CancelToken,
@@ -142,52 +153,80 @@ struct WorkItem {
 
 /// Bounds admitted-but-unfinished jobs at the farm's capacity.
 struct Admission {
-    /// `(admitted, closed)`.
-    state: Mutex<(usize, bool)>,
+    state: Mutex<AdmissionState>,
     changed: Condvar,
     capacity: usize,
 }
 
+#[derive(Default)]
+struct AdmissionState {
+    admitted: usize,
+    closed: bool,
+    /// Threads waiting on `changed`: blocked submitters and a draining
+    /// shutdown. Each counts itself under the lock before it sleeps, so a
+    /// release that reads 0 has no one to wake and skips the notify.
+    sleepers: usize,
+}
+
 impl Admission {
-    fn lock(&self) -> MutexGuard<'_, (usize, bool)> {
+    fn lock(&self) -> MutexGuard<'_, AdmissionState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Sleeps on `changed`, counted in `sleepers` while it does.
+    fn sleep<'a>(&self, mut st: MutexGuard<'a, AdmissionState>) -> MutexGuard<'a, AdmissionState> {
+        st.sleepers += 1;
+        let mut st = self.changed.wait(st).unwrap_or_else(|e| e.into_inner());
+        st.sleepers -= 1;
+        st
+    }
+
+    /// Wakes every sleeper if `sleepers` (read under the lock) says there
+    /// are any.
+    fn wake(&self, sleepers: usize) {
+        if sleepers > 0 {
+            self.changed.notify_all();
+        }
     }
 
     /// Admits one job, waiting for room unless `fail_fast`.
     fn admit(&self, fail_fast: bool) -> Result<(), FarmError> {
         let mut st = self.lock();
         loop {
-            if st.1 {
+            if st.closed {
                 return Err(FarmError::ShuttingDown);
             }
-            if st.0 < self.capacity {
-                st.0 += 1;
-                ape_probe::gauge("ape.farm.inflight", st.0 as f64);
+            if st.admitted < self.capacity {
+                st.admitted += 1;
+                ape_probe::gauge("ape.farm.inflight", st.admitted as f64);
                 return Ok(());
             }
             if fail_fast {
                 ape_probe::counter("ape.farm.queue.rejected", 1);
                 return Err(FarmError::QueueFull);
             }
-            st = self.changed.wait(st).unwrap_or_else(|e| e.into_inner());
+            st = self.sleep(st);
         }
     }
 
     fn release(&self) {
-        let mut st = self.lock();
-        st.0 -= 1;
-        ape_probe::gauge("ape.farm.inflight", st.0 as f64);
-        self.changed.notify_all();
+        let sleepers = {
+            let mut st = self.lock();
+            st.admitted -= 1;
+            ape_probe::gauge("ape.farm.inflight", st.admitted as f64);
+            st.sleepers
+        };
+        self.wake(sleepers);
     }
 
     /// Refuses further admissions, then waits until every admitted job has
     /// finished.
     fn close_and_drain(&self) {
         let mut st = self.lock();
-        st.1 = true;
-        self.changed.notify_all();
-        while st.0 > 0 {
-            st = self.changed.wait(st).unwrap_or_else(|e| e.into_inner());
+        st.closed = true;
+        self.wake(st.sleepers);
+        while st.admitted > 0 {
+            st = self.sleep(st);
         }
     }
 }
@@ -196,6 +235,8 @@ struct Shared {
     admission: Admission,
     flights: Flights,
     tech: Arc<Technology>,
+    /// `tech.fingerprint()`, hashed once in [`Farm::new`].
+    tech_fp: u64,
     /// Registered tenant technologies, keyed by fingerprint. The default
     /// technology is registered at construction; the map only grows.
     tenants: RwLock<HashMap<u64, Arc<Technology>>>,
@@ -204,8 +245,8 @@ struct Shared {
     /// so stale memoized estimates are unreachable by construction — the
     /// calibration fingerprint is folded into every job and memo key.
     calibrations: RwLock<HashMap<u64, Arc<Calibration>>>,
-    /// Cross-thread estimation memo store when
-    /// [`FarmConfig::shared_graph`] is set.
+    /// The farm's estimation memo store when [`FarmConfig::shared_graph`]
+    /// is set (the default).
     shared_graph: Option<Arc<SharedMemo>>,
     stats: StatCells,
     /// Always-on latency telemetry, independent of whether a probe sink is
@@ -235,7 +276,7 @@ impl Shared {
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shared")
-            .field("admitted", &self.admission.lock().0)
+            .field("admitted", &self.admission.lock().admitted)
             .field("capacity", &self.admission.capacity)
             .field("in_flight", &self.flights.len())
             .finish()
@@ -320,16 +361,18 @@ impl Farm {
     /// executor, admitting at most `config.queue_capacity` unfinished jobs.
     pub fn new(tech: Technology, config: FarmConfig) -> Self {
         let tech = Arc::new(tech);
+        let tech_fp = tech.fingerprint();
         let mut tenants = HashMap::new();
-        tenants.insert(tech.fingerprint(), tech.clone());
+        tenants.insert(tech_fp, tech.clone());
         let shared = Arc::new(Shared {
             admission: Admission {
-                state: Mutex::new((0, false)),
+                state: Mutex::new(AdmissionState::default()),
                 changed: Condvar::new(),
                 capacity: config.queue_capacity.max(1),
             },
             flights: Flights::default(),
             tech,
+            tech_fp,
             tenants: RwLock::new(tenants),
             calibrations: RwLock::new(HashMap::new()),
             shared_graph: config.shared_graph.then(|| Arc::new(SharedMemo::new())),
@@ -402,8 +445,9 @@ impl Farm {
         self.shared.lookup_calibration(fp)
     }
 
-    /// The cross-thread shared estimation memo, when
-    /// [`FarmConfig::shared_graph`] is enabled.
+    /// The farm's estimation memo store, when [`FarmConfig::shared_graph`]
+    /// is enabled (the default). Dropping the farm empties it: a clone of
+    /// the `Arc` kept past the farm holds no entries.
     pub fn shared_memo(&self) -> Option<&Arc<SharedMemo>> {
         self.shared.shared_graph.as_ref()
     }
@@ -550,10 +594,12 @@ impl Farm {
                 FarmError::WorkerLost("the executor could not start a worker thread".to_string()),
             );
         }
-        let tech = match opts.technology {
-            None => shared.tech.clone(),
+        // Tenants are keyed by their fingerprint, so the selection is the
+        // card's fingerprint and nothing here hashes a card.
+        let (tech, tech_fp) = match opts.technology {
+            None => (shared.tech.clone(), shared.tech_fp),
             Some(fp) => match shared.lookup_technology(fp) {
-                Some(t) => t,
+                Some(t) => (t, fp),
                 None => {
                     return self.refuse(
                         "ape.farm.unknown_technology",
@@ -565,12 +611,12 @@ impl Farm {
         let calib = match opts.calibration {
             None => None,
             Some(fp) => match shared.lookup_calibration(fp) {
-                Some(c) if c.technology_fingerprint() == tech.fingerprint() => Some(c),
+                Some(c) if c.technology_fingerprint() == tech_fp => Some(c),
                 Some(c) => {
                     return self.refuse(
                         "ape.farm.calibration_mismatch",
                         FarmError::CalibrationMismatch {
-                            expected: tech.fingerprint(),
+                            expected: tech_fp,
                             got: c.technology_fingerprint(),
                         },
                     )
@@ -587,9 +633,9 @@ impl Farm {
         // one with the same payload, so the table's content fingerprint is
         // part of the job's identity.
         let key = match &calib {
-            None => canonical_key(&tech, &req),
+            None => canonical_key_fp(&tech, tech_fp, &req),
             Some(c) => Fingerprint::new()
-                .u64(canonical_key(&tech, &req))
+                .u64(canonical_key_fp(&tech, tech_fp, &req))
                 .u64(c.fingerprint())
                 .finish(),
         };
@@ -618,6 +664,7 @@ impl Farm {
             flight,
             req,
             tech,
+            tech_fp,
             calib,
             cancel: token,
             parent_span: ape_probe::current_span(),
@@ -651,6 +698,12 @@ impl Farm {
 impl Drop for Farm {
     fn drop(&mut self) {
         self.shutdown();
+        // The executor threads that ran the farm's jobs still hold its
+        // store through their graphs; free its entries now, not when each
+        // of them next enters a graph with other inputs.
+        if let Some(store) = &self.shared.shared_graph {
+            store.clear();
+        }
     }
 }
 
@@ -686,8 +739,8 @@ impl Drop for Finish<'_> {
 
 /// Executes one admitted job on an executor thread and publishes its
 /// outcome. The job runs in the thread's graph for its technology, its
-/// calibration table and the farm's store (see [`with_graph`]), so a job
-/// with the same three inputs as the thread's last one reuses its warm
+/// calibration table and the farm's store (see [`with_graph_fp`]), so a
+/// job with the same three inputs as the thread's last one reuses its warm
 /// graph.
 fn run_job(shared: &Shared, item: &WorkItem) {
     let mut finish = Finish {
@@ -747,7 +800,7 @@ fn run_item(item: &WorkItem, store: Option<&Arc<SharedMemo>>) -> Result<Response
     }
     let _token_guard = cancel::set_current(item.cancel.clone());
     let job = || {
-        with_graph(&item.tech, item.calib.as_ref(), store, |g| {
+        with_graph_fp(&item.tech, item.tech_fp, item.calib.as_ref(), store, |g| {
             execute(g, &item.req)
         })
     };
@@ -819,8 +872,74 @@ mod tests {
                 assert!(h.wait().is_ok());
             }
         }
-        assert_eq!(farm.shared.admission.lock().0, 0, "admission leaked");
+        assert_eq!(farm.shared.admission.lock().admitted, 0, "admission leaked");
         assert_eq!(farm.shared.flights.len(), 0, "in-flight map kept entries");
         assert_eq!(farm.stats().executed, 100_000);
+    }
+
+    /// A release notifies only when a thread sleeps on admission, so a
+    /// submitter blocking just as a slot frees must still be woken. Four
+    /// threads push 2 000 jobs through a capacity-1 farm and every job
+    /// runs; then a `shutdown` issued while submitters are blocked turns
+    /// them away and still drains.
+    #[test]
+    fn a_capacity_one_farm_admits_every_blocked_submitter() {
+        const SUBMITTERS: u64 = 4;
+        const JOBS: u64 = 500;
+        let submit_all = |farm: &Farm, base: u64| -> Vec<JobHandle> {
+            std::thread::scope(|s| {
+                let threads: Vec<_> = (0..SUBMITTERS)
+                    .map(|t| {
+                        s.spawn(move || {
+                            (0..JOBS)
+                                .map(|i| {
+                                    farm.submit(Request::Custom {
+                                        label: "admission",
+                                        nonce: base + t * JOBS + i,
+                                        run: noop,
+                                    })
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                threads
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap())
+                    .collect()
+            })
+        };
+        let (finished, watchdog) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let farm = Farm::new(
+                Technology::default_1p2um(),
+                FarmConfig {
+                    queue_capacity: 1,
+                    ..FarmConfig::default()
+                },
+            );
+            for h in submit_all(&farm, 0) {
+                assert!(h.wait().is_ok());
+            }
+            assert_eq!(farm.stats().executed, SUBMITTERS * JOBS);
+
+            let handles = std::thread::scope(|s| {
+                let submitters = s.spawn(|| submit_all(&farm, SUBMITTERS * JOBS));
+                std::thread::sleep(Duration::from_millis(5));
+                farm.shutdown();
+                submitters.join().unwrap()
+            });
+            for h in handles {
+                match h.wait() {
+                    Ok(_) | Err(FarmError::ShuttingDown) => {}
+                    other => panic!("{other:?}"),
+                }
+            }
+            assert_eq!(farm.shared.admission.lock().admitted, 0);
+            finished.send(()).unwrap();
+        });
+        watchdog
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a capacity-1 farm stopped admitting or draining");
     }
 }

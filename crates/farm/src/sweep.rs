@@ -109,6 +109,13 @@ impl SweepPlan {
     /// Pareto front marked. Results are collected in point order, so the
     /// report (and its JSONL rendering) does not depend on how the jobs
     /// were scheduled.
+    ///
+    /// The calling thread waits on the last point's job first. Jobs start
+    /// in submission order, so by the time it is done the others are done
+    /// or nearly done, and the caller sleeps about once per plan instead of
+    /// once per point. Memoized results stay in `farm`'s store (see
+    /// [`FarmConfig::shared_graph`](crate::FarmConfig::shared_graph)), so
+    /// run overlapping plans on one farm to reuse them.
     pub fn run(&self, farm: &Farm) -> SweepReport {
         let _span = ape_probe::span("ape.farm.sweep");
         let points = self.points();
@@ -117,6 +124,10 @@ impl SweepPlan {
             .iter()
             .map(|p| farm.submit(self.request_for(p)))
             .collect();
+        // Sleep on the last job; the point-order waits then rarely block.
+        if let Some(last) = handles.last() {
+            let _ = last.wait();
+        }
         let mut records: Vec<SweepRecord> = points
             .iter()
             .zip(&handles)

@@ -1,7 +1,7 @@
 // Test/harness code: panicking on bad results is the assertion mechanism.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-//! Multi-tenant technologies, per-submission options, and the pool-wide
-//! shared estimation graph.
+//! Multi-tenant technologies, per-submission options, and the farm's own
+//! estimation memo store.
 
 use ape_calib::Calibration;
 use ape_core::basic::MirrorTopology;
@@ -320,10 +320,4 @@ fn interleaved_jobs_answer_as_their_own_graphs() {
             "job {k}"
         );
     }
-}
-
-#[test]
-fn shared_graph_default_off() {
-    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::default());
-    assert!(farm.shared_memo().is_none());
 }

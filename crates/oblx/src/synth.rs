@@ -6,9 +6,7 @@ use crate::cost::{cost, CostWeights, TARGET_COST};
 use crate::error::OblxError;
 use crate::eval::{evaluate_candidate_from, EvalFidelity};
 use crate::vars::{blind_center, blind_ranges, seeded_ranges, DesignPoint};
-use ape_core::graph::{
-    thread_calibration, with_graph, with_thread_graph, EstimationGraph, SharedMemo,
-};
+use ape_core::graph::{thread_calibration, with_graph_fp, EstimationGraph, SharedMemo};
 use ape_core::opamp::{OpAmpSpec, OpAmpTopology};
 use ape_netlist::Technology;
 use ape_solve::{
@@ -261,10 +259,12 @@ pub fn synthesize(
     let t0 = Instant::now();
     let (ranges, start) = prepare(topology, spec, init)?;
     let start_point = DesignPoint::from_log(&start);
-    // The single engines evaluate sequentially on this thread, so the cost
-    // runs in the caller's own thread graph.
+    // The cost runs in the evaluating thread's own store-less graph, under
+    // the caller's calibration table. The card is hashed and the table read
+    // once per run, not once per candidate.
+    let (tech_fp, calib) = (tech.fingerprint(), thread_calibration());
     let eval = candidate_cost(topology, spec, opts, &start_point);
-    let cost_fn = |s: &[f64]| with_thread_graph(tech, |g| eval(g, s));
+    let cost_fn = |s: &[f64]| with_graph_fp(tech, tech_fp, calib.as_ref(), None, |g| eval(g, s));
     let problem = Problem::new(&ranges, &cost_fn)
         .with_target(TARGET_COST)
         .with_start(start);
@@ -310,11 +310,16 @@ pub fn synthesize_portfolio(
     let start_point = DesignPoint::from_log(&start);
     // Members run on executor workers and inline on this thread; each cost
     // call evaluates in its thread's graph over the race's store (with the
-    // caller's calibration table), so the members share one memo.
-    let calib = thread_calibration();
+    // caller's calibration table), so the members share one memo. The card
+    // is hashed once per run.
+    let (tech_fp, calib) = (tech.fingerprint(), thread_calibration());
     let race_store = Arc::new(SharedMemo::new());
     let eval = candidate_cost(topology, spec, opts, &start_point);
-    let cost_fn = |s: &[f64]| with_graph(tech, calib.as_ref(), Some(&race_store), |g| eval(g, s));
+    let cost_fn = |s: &[f64]| {
+        with_graph_fp(tech, tech_fp, calib.as_ref(), Some(&race_store), |g| {
+            eval(g, s)
+        })
+    };
     let problem = Problem::new(&ranges, &cost_fn)
         .with_target(TARGET_COST)
         .with_start(start);
@@ -363,6 +368,7 @@ mod tests {
     use crate::vars::design_point_from_ape;
     use ape_anneal::{anneal_with_observer, AnnealOptions, Schedule};
     use ape_core::basic::MirrorTopology;
+    use ape_core::graph::with_thread_graph;
     use ape_core::opamp::OpAmp;
 
     fn topo() -> OpAmpTopology {
